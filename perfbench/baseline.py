@@ -1,19 +1,21 @@
 """Measures the benchmark's baseline and writes perfbench/baseline.json.
 
-Usage, from the root of a checkout:
+Usage, from the root of a checkout: python3 perfbench/baseline.py
 
-    python3 perfbench/baseline.py [--seeds 1,2,...] [--workloads a,b]
-
-Runs ``run.py`` once per seed and workload untraced, then once traced at
-the first seed, and records for every end-to-end metric the median, the
-quartiles and the spread (interquartile distance over the median) across
-seeds, the traced per-layer values, the machine, and the map from each
-per-layer metric to the end-to-end metrics it should move.
+Runs ``run.py`` untraced on every workload at seeds 1-10, twice over (two
+sets, the second started after the first has ended; within a set the
+workloads take turns seed by seed), then once traced per workload at
+seed 1.  For every end-to-end metric and workload it records,
+per set, the median, the quartiles and the spread (interquartile distance
+over the median) across seeds, and how much worse the second set's median
+is than the first's.  It also records the traced per-layer values and the
+machine.  The file is written fresh, so one git SHA covers all of it.
+Which end-to-end metric each per-layer metric should move is in
+``layer_map.json``.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import platform
@@ -22,65 +24,14 @@ import subprocess
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-
-# Which end-to-end metric each per-layer metric should move, and where.
-LAYER_MAP = [
-    {
-        "layer_metrics": [
-            "analysis.holonomy_s", "analysis.holonomy_self_s",
-            "analysis.holonomy_rank_calls", "analysis.holonomy_accept_ratio",
-        ],
-        "moves": ["cmd.holonomy_s", "cmd.verify_all_s", "ops_per_s"],
-        "on": ["nonflat-verify"],
-        "unchanged_on": ["moduli-solve"],
-    },
-    {
-        "layer_metrics": [
-            "connections.torsion_per_verify", "connections.curvature_per_verify",
-            "connections.covariant_derivative_calls", "analysis.compose_calls",
-            "analysis.verify_s", "analysis.musical_endomorphism_s", "analysis.null_filtration_s",
-        ],
-        "moves": ["cmd.verify_all_s", "cmd.verify_s"],
-        "on": ["nonflat-verify", "symbolic-family"],
-    },
-    {
-        "layer_metrics": [
-            "linalg.rref_calls", "linalg.rref_cells", "linalg.rank_calls", "linalg.nullspace_s",
-            "linalg.solve_affine_sparse_s", "linalg.self_s",
-            "moduli.symplectic_connection_space_s", "moduli.automorphism_space_s",
-        ],
-        "moves": ["cmd.moduli_s", "ops_per_s"],
-        "on": ["moduli-solve"],
-        "also": "cmd.verify_all_s on nonflat-verify",
-    },
-    {
-        "layer_metrics": [
-            "scalars.ops", "scalars.self_s", "tensors.created", "tensors.getitem",
-            "tensors.self_s", "frames.ce_differential_calls", "frames.self_s", "connections.self_s",
-        ],
-        "moves": ["ops_per_s", "op_p50_ms"],
-        "on": ["symbolic-family", "nonflat-verify"],
-    },
-    {
-        "layer_metrics": [
-            "specfile.load_s", "linalg.pfaffian_s", "catalog.example_identity_checks_s", "cli.self_s",
-        ],
-        "moves": ["op_p50_ms", "cmd.paper_example_s"],
-        "on": ["symbolic-family"],
-    },
-    {
-        "layer_metrics": ["trace.overhead"],
-        "moves": [],
-        "on": ["nonflat-verify", "moduli-solve", "symbolic-family"],
-        "note": "traced wall time over untraced wall time of the same calls",
-    },
-]
+SEEDS = range(1, 11)
+SETS = 2
 
 
-def run(workload: str, seed: int, trace: int, seconds: int) -> dict:
+def run(workload: str, seed: int, trace: int) -> dict:
     proc = subprocess.run(
         [sys.executable, os.path.join(HERE, "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
+         "--seed", str(seed), "--trace", str(trace)],
         stdout=subprocess.PIPE, text=True, check=True,
     )
     lines = proc.stdout.strip().splitlines()
@@ -98,52 +49,56 @@ def git_sha() -> str:
         return "unknown"
 
 
-def main(argv=None) -> int:
+def summary(values: list[float]) -> dict:
+    q1, med, q3 = statistics.quantiles(values, n=4)
+    return {"median": med, "q1": q1, "q3": q3, "spread": (q3 - q1) / med, "values": values}
+
+
+def main() -> int:
     with open("BENCHMARK.json", encoding="utf-8") as fh:
         spec = json.load(fh)
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", default=",".join(str(s) for s in range(1, 11)))
-    parser.add_argument("--workloads", default=",".join(w["name"] for w in spec["workloads"]))
-    args = parser.parse_args(argv)
-    seeds = [int(s) for s in args.seeds.split(",")]
-
-    path = os.path.join(HERE, "baseline.json")
-    previous = {}
-    if os.path.exists(path):
-        with open(path, encoding="utf-8") as fh:
-            previous = json.load(fh)
+    workloads = [w["name"] for w in spec["workloads"]]
+    runs = {(k, w): [] for k in range(SETS) for w in workloads}
+    for k in range(SETS):
+        for s in SEEDS:
+            for w in workloads:
+                runs[k, w].append(run(w, s, 0))
+    end_to_end = {}
+    for w in workloads:
+        out = {}
+        for m in spec["end_to_end"]:
+            sets = [summary([r["metrics"][m["name"]]["value"] for r in runs[k, w]]) for k in range(SETS)]
+            first, second = sets[0]["median"], sets[-1]["median"]
+            worse = (second - first) / first * (1 if m["better"] == "lower" else -1)
+            out[m["name"]] = {
+                "unit": m["unit"], "bound": m["bound"], "sets": sets,
+                "second_worse_by": worse, "within_bound": worse <= m["bound"],
+            }
+        all_runs = [r for k in range(SETS) for r in runs[k, w]]
+        out["fail_frac"] = sum(r["failed"] for r in all_runs) / sum(r["attempted"] for r in all_runs)
+        out["tail_percentiles"] = [r["detail"]["tail_percentile"] for r in all_runs]
+        out["samples"] = [r["detail"]["samples"] for r in all_runs]
+        end_to_end[w] = out
+        print(w, json.dumps({k: [round(s["spread"], 3) for s in v["sets"]] + [round(v["second_worse_by"], 3)]
+                             for k, v in out.items() if isinstance(v, dict)}), flush=True)
+    per_layer = {}
+    for w in workloads:
+        traced = run(w, SEEDS[0], 1)
+        per_layer[w] = {k: v["value"] for k, v in traced["metrics"].items()}
+        per_layer[w]["correct"] = traced["correct"]
     out = {
         "git_sha": git_sha(),
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
         "machine": platform.machine(),
         "run_seconds": spec["run_seconds"],
-        "seeds": seeds,
-        "end_to_end": previous.get("end_to_end", {}),
-        "per_layer": previous.get("per_layer", {}),
-        "layer_map": LAYER_MAP,
+        "seeds": list(SEEDS),
+        "sets": SETS,
+        "end_to_end": end_to_end,
+        "per_layer": per_layer,
         "waiting": "none: every layer runs on the calling thread, so no layer waits on another",
     }
-    for workload in args.workloads.split(","):
-        runs = [run(workload, s, 0, spec["run_seconds"]) for s in seeds]
-        summary = {}
-        for m in spec["end_to_end"]:
-            values = [r["metrics"][m["name"]]["value"] for r in runs]
-            q1, med, q3 = statistics.quantiles(values, n=4)
-            summary[m["name"]] = {
-                "unit": m["unit"], "median": med, "q1": q1, "q3": q3,
-                "spread": (q3 - q1) / med, "bound": m["bound"], "values": values,
-            }
-        summary["fail_frac"] = sum(r["failed"] for r in runs) / sum(r["attempted"] for r in runs)
-        summary["tail_percentiles"] = [r["detail"]["tail_percentile"] for r in runs]
-        summary["samples"] = [r["detail"]["samples"] for r in runs]
-        out["end_to_end"][workload] = summary
-        traced = run(workload, seeds[0], 1, spec["run_seconds"])
-        out["per_layer"][workload] = {k: v["value"] for k, v in traced["metrics"].items()}
-        out["per_layer"][workload]["correct"] = traced["correct"]
-        print(workload, json.dumps({k: round(v["spread"], 3) for k, v in summary.items()
-                                    if isinstance(v, dict)}), flush=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(os.path.join(HERE, "baseline.json"), "w", encoding="utf-8") as fh:
         json.dump(out, fh, indent=1)
         fh.write("\n")
     return 0

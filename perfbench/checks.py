@@ -61,16 +61,21 @@ def _report_problem(rep: dict, dim: int, automorphism: bool) -> str | None:
 
 
 def independent_problem(call: dict, data) -> str | None:
-    """Checks that need no recorded output."""
+    """Checks that need no recorded output.  Where the inputs fix the
+    answer (report and generator counts in ``expect``, the moduli
+    dimension), the check is two-sided."""
     command, expect = call["command"], call["expect"]
     dim = expect.get("dim")
     if command == "verify_all":
         if not isinstance(data, list):
             return "--all-invariant output is not a list"
+        labels = [f"aut[{pos}]" for pos in range(expect["reports"])]
+        if [rep.get("vector") for rep in data] != labels:
+            return f"{len(data)} reports, expected one per automorphism: {labels}"
         for rep in data:
             problem = _report_problem(rep, dim, True)
             if problem:
-                return f"{rep.get('vector')}: {problem}"
+                return f"{rep['vector']}: {problem}"
         return None
     if set(data) != KEYS[command]:
         return f"keys {sorted(data)} != {sorted(KEYS[command])}"
@@ -82,17 +87,16 @@ def independent_problem(call: dict, data) -> str | None:
             return f"moduli dimension {data['dimension']}, expected C({dim}+2, 3) = {want}"
         return None
     if command == "holonomy":
-        n = dim // 2
         count = data["generator_count"]
         if not (count == data["span_dimension"] == len(data["generators"])):
             return "generator_count, span_dimension and generators disagree"
-        if count > n * (2 * n + 1):
-            return f"{count} holonomy generators exceed dim sp({dim}) = {n * (2 * n + 1)}"
+        if count != expect["generators"]:
+            return f"{count} holonomy generators, expected {expect['generators']}"
         if any(len(g) != dim or any(len(r) != dim for r in g) for g in data["generators"]):
             return "a generator is not a dim x dim matrix"
         return None
     if command == "paper_example":
-        if data["all_ok"] is not True or not all(c["ok"] for c in data["checks"]):
+        if data["all_ok"] is not True or not data["checks"] or not all(c["ok"] for c in data["checks"]):
             return "paper-example reports a failed identity"
         return None
     return f"unknown command {command}"

@@ -1,23 +1,27 @@
 """Seeded input generator for the framecalc benchmark.
 
-Usage: python3 perfbench/gen.py --workload NAME --seed N --out DIR
+Usage: python3 perfbench/gen.py --workload NAME --seed N --out DIR --first G --count K
 
-Writes one spec file per model into DIR, through the public
-``framecalc.specfile`` API, plus ``manifest.json`` listing the CLI calls
-of the workload in groups.  A group holds every call made on one slice of
-the inputs; the benchmark loop stops only at group boundaries, so the mix
-of commands in a run does not depend on where the clock ran out.
+Writes the spec files of groups G .. G+K-1 into DIR, through the public
+``framecalc.specfile`` API, plus ``groups-G.json`` listing their CLI
+calls.  A group holds every call made on one slice of the inputs; the
+benchmark loop stops only at group boundaries, so the mix of commands in a
+run does not depend on where the clock ran out.  The groups of a seed form
+an unbounded sequence in which no call repeats (``paper-example
+--symbolic`` takes no input and is the one call that does); the worker
+asks for the next batch when it has run the ones it has.
 
 The model recipes (two-step nilpotent algebras, closed nondegenerate
 forms) are copies of the ones in the test helpers, kept here so that edits
 to the tests cannot shift the workloads.  Every model draws from its own ``random.Random`` keyed by
 workload, seed and model name, so the same seed gives byte-identical
-files.
+files, however the groups are split into batches.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -36,21 +40,22 @@ from framecalc import (
     symplectic_form,
     validate_algebra,
 )
-from framecalc.connections import Connection
+from framecalc.connections import Connection, covariant_derivative, curvature
 from framecalc.errors import FormError
-from framecalc.linalg import nullspace
+from framecalc.linalg import nullspace, rank
 from framecalc.scalars import Scalar
 from framecalc.specfile import document_from_model, serialize_spec
 from framecalc.tensors import DOWN, increasing_tuples, vector
 
-WORKLOADS = ("nonflat-verify", "moduli-solve", "symbolic-family")
-
-# Groups in each workload's pool.  A run cycles through the pool; with the
-# package as first benchmarked, a 30-second run stays within it.
-POOL_GROUPS = {"nonflat-verify": 12, "moduli-solve": 32, "symbolic-family": 40}
+# Groups per generated batch: about what a 30-second run of the package
+# as first benchmarked needs, so that a run usually generates once.
+BATCH_GROUPS = {"nonflat-verify": 8, "moduli-solve": 24, "symbolic-family": 32}
 
 # Groups the traced run replays, untraced and then traced.
 TRACE_GROUPS = {"nonflat-verify": 2, "moduli-solve": 4, "symbolic-family": 8}
+
+# Holonomy of every dim-4 connection the benchmark samples: all of sp(4).
+SP4 = 10
 
 
 # -- recipes (copied from the test helpers) ---------------------------------------
@@ -181,6 +186,21 @@ def integer_connection(rng: random.Random, space, positions) -> Connection:
     return space.point(coeffs)
 
 
+def spans_sp4(alg, conn) -> bool:
+    """Whether the curvature endomorphisms R(E_i, E_j) and their first
+    covariant derivatives span sp(4).  They lie in the holonomy algebra,
+    which lies in sp(4) for a connection that preserves the form, so the
+    holonomy is then all of sp(4): the gate can require exactly SP4
+    generators without relying on the closure it checks."""
+    riem = curvature(alg, conn)
+    grad = covariant_derivative(alg, conn, riem)
+    r = range(1, alg.dim + 1)
+    pairs = [(i, j) for i in r for j in r if i < j]
+    rows = [[riem[(i, j, a, b)].as_fraction() for a in r for b in r] for i, j in pairs]
+    rows += [[grad[(c, i, j, a, b)].as_fraction() for a in r for b in r] for c in r for i, j in pairs]
+    return rank(rows) == SP4
+
+
 def qb_family(rng: random.Random, space) -> Connection:
     """particular + b*B1 + b^2*B2 + 1/2*B3, each B a +-1 combination of
     three seeded basis directions.  With one direction per B the holonomy
@@ -194,14 +214,15 @@ def qb_family(rng: random.Random, space) -> Connection:
     return Connection(gamma)
 
 
-def automorphism_vector(rng: random.Random, alg, conn) -> Tensor:
-    """A seeded nonzero combination of the automorphism basis."""
+def automorphism_vector(rng: random.Random, alg, conn) -> tuple[Tensor, int]:
+    """A seeded nonzero combination of the automorphism basis, and the
+    size of that basis."""
     basis = automorphism_space(alg, conn).basis
     total = None
     for v in basis:
         term = v.scale(Scalar.rational(rng.choice((-2, -1, 1, 2))))
         total = term if total is None else total + term
-    return total
+    return total, len(basis)
 
 
 def family_with_witness(rng: random.Random, alg, space, attempts: int = 20):
@@ -222,6 +243,28 @@ def random_beta(rng: random.Random) -> Fraction:
     return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(2, 7))
 
 
+def sp4_family(rng: random.Random, alg, space, attempts: int = 20):
+    """family_with_witness and a seeded beta at which the family's holonomy
+    is all of sp(4) (see spans_sp4).  A few families have a smaller
+    holonomy at every b; they are redrawn."""
+    for _ in range(attempts):
+        conn, x = family_with_witness(rng, alg, space)
+        for _ in range(8):
+            beta = random_beta(rng)
+            if spans_sp4(alg, conn.substitute(beta)):
+                return conn, x, beta
+    raise RuntimeError("no sampled family has holonomy sp(4)")
+
+
+def calkin_wilf(n: int) -> Fraction:
+    """Term n (from 0) of the Calkin-Wilf sequence, which lists every
+    positive rational exactly once: 1, 1/2, 2, 1/3, 3/2, 2/3, 3, ..."""
+    q = Fraction(1)
+    for _ in range(n):
+        q = 1 / (2 * (q.numerator // q.denominator) - q + 1)
+    return q
+
+
 # -- workloads -----------------------------------------------------------------------
 
 
@@ -232,7 +275,6 @@ class Writer:
         self.out = out
         self.workload = workload
         self.seed = seed
-        self.groups: list[list[dict]] = []
 
     def rng(self, name: str) -> random.Random:
         return random.Random(f"{self.workload}/{self.seed}/{name}")
@@ -255,77 +297,83 @@ class Writer:
         )
 
 
-def nonflat_verify(w: Writer) -> None:
+@functools.lru_cache(maxsize=None)
+def darboux6():
     darboux = darboux_flat(3)
-    darboux6 = symplectic_connection_space(darboux.algebra, darboux.omega)
-    for g in range(POOL_GROUPS[w.workload]):
-        group: list[dict] = []
-        # dim 4: generic member of the 20-dimensional moduli space, so the
-        # holonomy is all of sp(4) and the cost is steady across seeds.
-        name = f"nil4-{g:02d}"
-        rng = w.rng(name)
-        alg, omega, space = moduli_model(rng, 4)
+    return darboux, symplectic_connection_space(darboux.algebra, darboux.omega)
+
+
+def nonflat_verify(w: Writer, g: int) -> list[dict]:
+    group: list[dict] = []
+    # dim 4: generic member of the 20-dimensional moduli space, so the
+    # holonomy is all of sp(4) and the cost is steady across seeds.
+    name = f"nil4-{g:03d}"
+    rng = w.rng(name)
+    alg, omega, space = moduli_model(rng, 4)
+    conn = integer_connection(rng, space, range(space.dimension))
+    while not spans_sp4(alg, conn):  # not seen in seeds 1-40
         conn = integer_connection(rng, space, range(space.dimension))
-        x = automorphism_vector(rng, alg, conn)
-        path = w.spec(name, alg, omega, conn, {"X": x})
-        w.call(group, name, "verify_all", ["verify", path, "--all-invariant"], dim=4)
-        w.call(group, name, "verify", ["verify", path, "--vector", "X"], dim=4, automorphism=True)
-        w.call(group, name, "holonomy", ["holonomy", path], dim=4)
-        # dim 6: Darboux frame with a connection on a fixed six-direction
-        # slice of its 56-dimensional moduli space, whose holonomy has
-        # dimension 6.  Generic dim-6 connections take 10-35 s per holonomy
-        # (2-core x86_64, Python 3.11).  Every field of the abelian frame is an
-        # automorphism, so --all-invariant runs six full verdict chains,
-        # holonomy included; single verify and holonomy calls here would
-        # take 0.05-0.1 s and put the median call between two clusters.
-        name = f"dar6-{g:02d}"
-        rng = w.rng(name)
-        conn = integer_connection(rng, darboux6, range(20, 26))
-        path = w.spec(name, darboux.algebra, darboux.omega, conn)
-        w.call(group, name, "verify_all", ["verify", path, "--all-invariant"], dim=6)
-        w.groups.append(group)
+    x, automorphisms = automorphism_vector(rng, alg, conn)
+    path = w.spec(name, alg, omega, conn, {"X": x})
+    w.call(group, name, "verify_all", ["verify", path, "--all-invariant"], dim=4,
+           reports=automorphisms)
+    w.call(group, name, "verify", ["verify", path, "--vector", "X"], dim=4, automorphism=True)
+    w.call(group, name, "holonomy", ["holonomy", path], dim=4, generators=SP4)
+    # dim 6: Darboux frame with a connection on a fixed six-direction
+    # slice of its 56-dimensional moduli space, whose holonomy has
+    # dimension 6.  Generic dim-6 connections take 10-35 s per holonomy
+    # (2-core x86_64, Python 3.11).  Every field of the abelian frame is an
+    # automorphism, so --all-invariant runs six full verdict chains,
+    # holonomy included; single verify and holonomy calls here would
+    # take 0.05-0.1 s and put the median call between two clusters.
+    name = f"dar6-{g:03d}"
+    rng = w.rng(name)
+    darboux, space = darboux6()
+    conn = integer_connection(rng, space, range(20, 26))
+    path = w.spec(name, darboux.algebra, darboux.omega, conn)
+    w.call(group, name, "verify_all", ["verify", path, "--all-invariant"], dim=6, reports=6)
+    return group
 
 
-def moduli_solve(w: Writer) -> None:
-    for g in range(POOL_GROUPS[w.workload]):
-        group: list[dict] = []
-        for dim in (4, 6):
-            name = f"nil{dim}-{g:02d}"
-            alg, omega = dense_model(w.rng(name), dim)
-            w.call(group, name, "moduli", ["moduli", w.spec(name, alg, omega)], dim=dim)
-        name = f"kt8-{g:02d}"
-        alg, omega = kt_type_model(w.rng(name), 4)
-        w.call(group, name, "moduli", ["moduli", w.spec(name, alg, omega)], dim=8)
-        w.groups.append(group)
+def moduli_solve(w: Writer, g: int) -> list[dict]:
+    group: list[dict] = []
+    for dim in (4, 6):
+        name = f"nil{dim}-{g:03d}"
+        alg, omega = dense_model(w.rng(name), dim)
+        w.call(group, name, "moduli", ["moduli", w.spec(name, alg, omega)], dim=dim)
+    name = f"kt8-{g:03d}"
+    alg, omega = kt_type_model(w.rng(name), 4)
+    w.call(group, name, "moduli", ["moduli", w.spec(name, alg, omega)], dim=8)
+    return group
 
 
-def symbolic_family(w: Writer) -> None:
-    for g in range(POOL_GROUPS[w.workload]):
-        group: list[dict] = []
-        beta = random_beta(w.rng(f"example-{g:02d}"))
-        w.call(group, "example", "paper_example", ["paper-example", "--symbolic"], tag="symbolic")
-        w.call(group, "example", "paper_example", ["paper-example", f"--beta={beta}"], tag=str(beta))
+def symbolic_family(w: Writer, g: int) -> list[dict]:
+    group: list[dict] = []
+    w.call(group, "example", "paper_example", ["paper-example", "--symbolic"], tag="symbolic")
+    # A distinct |beta| per group: Calkin-Wilf terms from a seeded offset.
+    offset = w.rng("example").randrange(64)
+    beta = calkin_wilf(offset + g) * w.rng(f"example-{g:03d}").choice((-1, 1))
+    w.call(group, "example", "paper_example", ["paper-example", f"--beta={beta}"], tag=str(beta))
 
-        name = f"qb4-{g:02d}"
-        rng = w.rng(name)
-        alg, omega, space = moduli_model(rng, 4)
-        conn, x = family_with_witness(rng, alg, space)
-        path = w.spec(name, alg, omega, conn, {"X": x}, parameter="b")
-        beta = random_beta(rng)
-        w.call(group, name, "verify", ["verify", path, "--vector", "X"], dim=4, automorphism=False)
-        w.call(group, name, "verify", ["verify", path, "--vector", "X", f"--beta={beta}"],
-               dim=4, automorphism=False, tag=str(beta))
-        w.call(group, name, "holonomy", ["holonomy", path, f"--beta={beta}"], dim=4)
+    name = f"qb4-{g:03d}"
+    rng = w.rng(name)
+    alg, omega, space = moduli_model(rng, 4)
+    conn, x, beta = sp4_family(rng, alg, space)
+    path = w.spec(name, alg, omega, conn, {"X": x}, parameter="b")
+    w.call(group, name, "verify", ["verify", path, "--vector", "X"], dim=4, automorphism=False)
+    w.call(group, name, "verify", ["verify", path, "--vector", "X", f"--beta={beta}"],
+           dim=4, automorphism=False, tag=str(beta))
+    w.call(group, name, "holonomy", ["holonomy", path, f"--beta={beta}"], dim=4, generators=SP4)
 
-        # KT-type rather than dense: a dense dim-6 moduli solve would add
-        # 1.5 s of generation per group.
-        name = f"qb6-{g:02d}"
-        rng = w.rng(name)
-        alg, omega = kt_type_model(rng, 3)
-        conn, x = family_with_witness(rng, alg, symplectic_connection_space(alg, omega))
-        path = w.spec(name, alg, omega, conn, {"X": x}, parameter="b")
-        w.call(group, name, "verify", ["verify", path, "--vector", "X"], dim=6, automorphism=False)
-        w.groups.append(group)
+    # KT-type rather than dense: a dense dim-6 moduli solve would add
+    # 1.5 s of generation per group.
+    name = f"qb6-{g:03d}"
+    rng = w.rng(name)
+    alg, omega = kt_type_model(rng, 3)
+    conn, x = family_with_witness(rng, alg, symplectic_connection_space(alg, omega))
+    path = w.spec(name, alg, omega, conn, {"X": x}, parameter="b")
+    w.call(group, name, "verify", ["verify", path, "--vector", "X"], dim=6, automorphism=False)
+    return group
 
 
 BUILDERS = {
@@ -335,28 +383,26 @@ BUILDERS = {
 }
 
 
-def generate(workload: str, seed: int, out: str) -> dict:
+def generate(workload: str, seed: int, out: str, first: int, count: int) -> list[list[dict]]:
+    """Groups first .. first+count-1 of the seed's sequence; writes their
+    spec files and ``groups-<first>.json`` into ``out``."""
     os.makedirs(out, exist_ok=True)
     w = Writer(out, workload, seed)
-    BUILDERS[workload](w)
-    manifest = {
-        "workload": workload,
-        "seed": seed,
-        "trace_groups": TRACE_GROUPS[workload],
-        "groups": w.groups,
-    }
-    with open(os.path.join(out, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-    return manifest
+    groups = [BUILDERS[workload](w, g) for g in range(first, first + count)]
+    with open(os.path.join(out, f"groups-{first}.json"), "w", encoding="utf-8") as fh:
+        json.dump(groups, fh, indent=1, sort_keys=True)
+    return groups
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", required=True, choices=WORKLOADS)
+    parser.add_argument("--workload", required=True, choices=BUILDERS)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--out", required=True)
+    parser.add_argument("--first", type=int, required=True)
+    parser.add_argument("--count", type=int, required=True)
     args = parser.parse_args(argv)
-    generate(args.workload, args.seed, args.out)
+    generate(args.workload, args.seed, args.out, args.first, args.count)
     return 0
 
 

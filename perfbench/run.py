@@ -4,11 +4,11 @@ Usage, from the root of a checkout:
 
     python3 perfbench/run.py --workload NAME --seed N --seconds S --trace 0|1
 
-It generates the workload's spec files from the seed (``gen.py``, in its
-own process), times a fresh-process ``import framecalc.cli`` several
-times, then runs the workload in a fresh process (``worker.py``).  With
-``--trace 0`` it reports the end-to-end metrics of ``BENCHMARK.json``;
-with ``--trace 1`` the per-layer metrics.  The last line of stdout is one
+It runs the workload in a fresh process (``worker.py``), which has the
+seed's inputs generated (``gen.py``) in child processes as it goes, and
+times a fresh-process ``import framecalc.cli`` several times before and
+after it.  With ``--trace 0`` it reports the end-to-end metrics of
+``BENCHMARK.json``; with ``--trace 1`` the per-layer metrics.  The last line of stdout is one
 JSON object with the keys correct, attempted, failed and metrics.  The
 program under test is ``src/framecalc`` of the checkout; without it the
 benchmark exits 2 and prints no result.
@@ -26,9 +26,10 @@ import sys
 import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-WORKLOADS = ("nonflat-verify", "moduli-solve", "symbolic-family")
 WORK_DIR = ".perfbench_work"
-SETUP_PROBES = 9
+# Import probes before and again after the workload, so that set-up time
+# samples the host at two moments of the run.
+SETUP_PROBES = 8
 DEADLINE_S = 170.0
 
 IMPORT_PROBE = (
@@ -64,50 +65,49 @@ def child(argv: list, env: dict, deadline: float) -> str:
     return proc.stdout
 
 
-def setup_seconds(env: dict, src: str, deadline: float) -> list[float]:
-    """Import times of framecalc.cli in fresh processes; the first probe
-    only warms the bytecode cache and is dropped."""
+def setup_seconds(env: dict, src: str, deadline: float, probes: int) -> list[float]:
+    """Import times of framecalc.cli in fresh processes."""
     times = []
-    for _ in range(SETUP_PROBES + 1):
+    for _ in range(probes):
         out = child([sys.executable, "-c", IMPORT_PROBE, src], env, deadline)
         times.append(float(out.strip().splitlines()[-1]))
-    return times[1:]
+    return times
 
 
 def main(argv=None) -> int:
+    root = os.getcwd()
+    with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as fh:
+        spec = json.load(fh)
     parser = argparse.ArgumentParser(description="framecalc benchmark")
-    parser.add_argument("--workload", required=True, choices=WORKLOADS)
+    parser.add_argument("--workload", required=True, choices=[w["name"] for w in spec["workloads"]])
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     deadline = time.monotonic() + DEADLINE_S
 
-    root = os.getcwd()
     src = os.path.join(root, "src")
     if not os.path.isfile(os.path.join(src, "framecalc", "cli.py")):
         print(f"error: no framecalc sources under {src}", file=sys.stderr)
         return 2
-    with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as fh:
-        spec = json.load(fh)
     declared = spec["per_layer"] if args.trace else spec["end_to_end"]
 
     env = dict(os.environ, PYTHONPATH=src)
     work = os.path.join(WORK_DIR, f"{args.workload}-s{args.seed}")
     shutil.rmtree(work, ignore_errors=True)
+    os.makedirs(work)
     try:
-        child(
-            [sys.executable, os.path.join(HERE, "gen.py"), "--workload", args.workload,
-             "--seed", str(args.seed), "--out", work],
-            env, deadline,
-        )
-        setup = setup_seconds(env, src, deadline) if not args.trace else []
+        setup = []
+        if not args.trace:  # the first probe only warms the bytecode cache
+            setup = setup_seconds(env, src, deadline, SETUP_PROBES + 1)[1:]
         out = child(
-            [sys.executable, os.path.join(HERE, "worker.py"),
-             "--manifest", os.path.join(work, "manifest.json"),
+            [sys.executable, os.path.join(HERE, "worker.py"), "--workload", args.workload,
+             "--seed", str(args.seed), "--work", work,
              "--seconds", str(args.seconds), "--trace", str(args.trace)],
             env, deadline,
         )
+        if not args.trace:
+            setup += setup_seconds(env, src, deadline, SETUP_PROBES)
         result = json.loads(out.strip().splitlines()[-1])
     except (BenchError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

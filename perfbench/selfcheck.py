@@ -3,7 +3,8 @@
 Usage, from the root of a checkout: python3 perfbench/selfcheck.py
 
 1. The generator is deterministic: the same seed gives byte-identical
-   files, another seed gives other files.
+   files and calls, also when its groups are generated in other batches;
+   another seed gives other files.
 2. The correctness gate counts a deliberately altered output as failed,
    both by the independent checks and by the recorded digest.
 3. Traced and untraced runs print identical outputs, and the tracer
@@ -35,26 +36,24 @@ SCRATCH = os.path.join(".perfbench_work", "selfcheck")
 def tree_bytes(root: str) -> dict[str, bytes]:
     out = {}
     for name in sorted(os.listdir(root)):
-        with open(os.path.join(root, name), "rb") as fh:
-            out[name] = fh.read()
+        if name.endswith(".spec"):
+            with open(os.path.join(root, name), "rb") as fh:
+                out[name] = fh.read()
     return out
 
 
 def check_determinism() -> str | None:
-    for workload in gen.WORKLOADS:
-        out = os.path.join(SCRATCH, workload)
-        gen.generate(workload, 5, out)
-        first = tree_bytes(out)
-        shutil.rmtree(out)
-        gen.generate(workload, 5, out)
-        second = tree_bytes(out)
-        shutil.rmtree(out)
-        gen.generate(workload, 6, out)
-        other = tree_bytes(out)
-        if first != second:
-            return f"{workload}: seed 5 gave different files on two generations"
-        specs = [n for n in first if n.endswith(".spec")]
-        if all(first[n] == other.get(n) for n in specs):
+    for workload in gen.BUILDERS:
+        whole = os.path.join(SCRATCH, workload, "whole")
+        split = os.path.join(SCRATCH, workload, "split")
+        other = os.path.join(SCRATCH, workload, "other")
+        calls = gen.generate(workload, 5, whole, 0, 3)
+        split_calls = gen.generate(workload, 5, split, 0, 2) + gen.generate(workload, 5, split, 2, 1)
+        gen.generate(workload, 6, other, 0, 3)
+        split_calls = json.loads(json.dumps(split_calls).replace(split, whole))
+        if tree_bytes(whole) != tree_bytes(split) or calls != split_calls:
+            return f"{workload}: seed 5 gave other files or calls when generated in two batches"
+        if tree_bytes(whole) == tree_bytes(other):
             return f"{workload}: seeds 5 and 6 gave the same spec files"
     return None
 
@@ -107,6 +106,19 @@ def check_altered_output() -> str | None:
     runner.run(call)
     if runner.failures:
         return f"the recorded output itself was counted as failed: {runner.failures}"
+
+    # Outputs that compute too little, gated without a recorded digest.
+    too_little = [
+        ("an empty --all-invariant list", "verify_all", {"dim": 4, "reports": 2}, []),
+        ("a truncated holonomy", "holonomy", {"dim": 4, "generators": 10},
+         {"model": "m", "beta": None, "generator_count": 0, "span_dimension": 0, "generators": []}),
+    ]
+    for label, command, expect, output in too_little:
+        short = {"id": f"m/{command}", "command": command, "argv": [], "expect": expect}
+        runner = worker.Runner(FakeCli(json.dumps(output)), {})
+        runner.run(short)
+        if len(runner.failures) != 1:
+            return f"{label} was not counted as failed"
     return None
 
 
@@ -119,9 +131,8 @@ def check_traced_identical() -> str | None:
         layer: dict(vars(importlib.import_module(f"framecalc.{layer}"))) for layer in LAYERS
     }
     groups = []
-    for workload in gen.WORKLOADS:
-        manifest = gen.generate(workload, 5, os.path.join(SCRATCH, f"trace-{workload}"))
-        groups.append(manifest["groups"][0])
+    for workload in gen.BUILDERS:
+        groups += gen.generate(workload, 5, os.path.join(SCRATCH, f"trace-{workload}"), 0, 1)
     result = worker.traced(cli, groups, {}, os.path.join(SCRATCH, "spans.jsonl"))
     if result["failed"]:
         return f"traced run failed: {result['failures']}"

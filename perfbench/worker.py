@@ -1,14 +1,17 @@
 """Runs one workload in a fresh process and prints its measurements.
 
-Usage: python3 perfbench/worker.py --manifest PATH --seconds S --trace 0|1
+Usage: python3 perfbench/worker.py --workload NAME --seed N --work DIR --seconds S --trace 0|1
 
 Calls ``framecalc.cli.main(argv)`` in process, one call after another (a
-closed loop with one client), over the groups of the manifest, and checks
-every call's output.  With ``--trace 0`` it cycles through the groups and
-stops at the first group boundary after ``--seconds``.  With ``--trace 1``
-it replays the manifest's first ``trace_groups`` groups once untraced and
-once under the tracer, and reports per-layer metrics.  The last line of
-stdout is one JSON object.
+closed loop with one client), over the seed's groups of calls, and checks
+every call's output.  The groups come from ``gen.py``, run in a child
+process one batch at a time into DIR, so the generator never runs in the
+measured process and no input repeats however fast the calls get.  With
+``--trace 0`` it runs groups until the calls have taken ``--seconds`` in
+total, stopping at a group boundary; time spent generating is not counted.
+With ``--trace 1`` it replays the first groups once untraced and once
+under the tracer, and reports per-layer metrics.  The last line of stdout
+is one JSON object.
 """
 
 from __future__ import annotations
@@ -20,10 +23,14 @@ import json
 import os
 import resource
 import statistics
+import subprocess
 import sys
 from time import perf_counter
 
 import checks
+from gen import BATCH_GROUPS, TRACE_GROUPS
+
+GEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "gen.py")
 
 # Name under which each command's seconds are reported.
 COMMAND_METRIC = {
@@ -96,17 +103,27 @@ def tail(values: list[float]) -> tuple[float, float]:
     return ordered[pos], 100.0 * (pos + 1) / n
 
 
-def untraced(cli, groups: list, seconds: float, recorded: dict) -> dict:
+def batch(workload: str, seed: int, work: str, first: int, count: int) -> list:
+    """Groups first .. first+count-1 of the seed, generated in a child process."""
+    subprocess.run(
+        [sys.executable, GEN, "--workload", workload, "--seed", str(seed), "--out", work,
+         "--first", str(first), "--count", str(count)],
+        check=True,
+    )
+    with open(os.path.join(work, f"groups-{first}.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def untraced(cli, workload: str, seed: int, work: str, seconds: float, recorded: dict) -> dict:
     runner = Runner(cli, recorded)
-    start = perf_counter()
+    groups: list = []
     done = 0
-    while True:
-        for call in groups[done % len(groups)]:
+    while runner.total_s() < seconds:
+        if done == len(groups):
+            groups += batch(workload, seed, work, done, BATCH_GROUPS[workload])
+        for call in groups[done]:
             runner.run(call)
         done += 1
-        if perf_counter() - start >= seconds:
-            break
-    wall = perf_counter() - start
     times = [s for _, s in runner.latencies]
     tail_s, tail_pct = tail(times)
     attempted = len(times)
@@ -122,8 +139,7 @@ def untraced(cli, groups: list, seconds: float, recorded: dict) -> dict:
         },
         "detail": {
             "groups": done,
-            "pool_groups": len(groups),
-            "wall_s": wall,
+            "generated_groups": len(groups),
             "tail_percentile": tail_pct,
             "samples": attempted,
             "fail_frac": len(runner.failures) / attempted,
@@ -216,22 +232,21 @@ def traced(cli, groups: list, recorded: dict, spans_path: str) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--manifest", required=True)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--work", required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), required=True)
     args = parser.parse_args(argv)
 
     import framecalc.cli as cli
 
-    with open(args.manifest, encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    recorded = checks.load_digests(manifest["workload"], manifest["seed"])
-    groups = manifest["groups"]
+    recorded = checks.load_digests(args.workload, args.seed)
     if args.trace:
-        spans_path = os.path.join(os.path.dirname(args.manifest), "spans.jsonl")
-        result = traced(cli, groups[: manifest["trace_groups"]], recorded, spans_path)
+        groups = batch(args.workload, args.seed, args.work, 0, TRACE_GROUPS[args.workload])
+        result = traced(cli, groups, recorded, os.path.join(args.work, "spans.jsonl"))
     else:
-        result = untraced(cli, groups, args.seconds, recorded)
+        result = untraced(cli, args.workload, args.seed, args.work, args.seconds, recorded)
     print(json.dumps(result))
     return 0
 
