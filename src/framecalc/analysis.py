@@ -9,6 +9,7 @@ inputs are refused with an instruction to substitute a value first.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -62,14 +63,10 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors) -> "Subspace":
-        rows = []
-        for v in vectors:
-            rows.append(_rational_components(v, ambient_dim))
-        if rows:
-            red, _ = linalg.rref(rows)
-            rows = [r for r in red if any(r)]
+        rows = [_rational_components(v, ambient_dim) for v in vectors]
         basis = tuple(
-            Tensor(ambient_dim, (UP,), tuple(Scalar.rational(c) for c in row)) for row in rows
+            Tensor(ambient_dim, (UP,), tuple(Scalar.rational(c) for c in row))
+            for row in linalg.Echelon(ambient_dim, rows).basis()
         )
         return cls(ambient_dim, basis)
 
@@ -86,16 +83,10 @@ class Subspace:
         return len(self.basis)
 
     def contains(self, vector: Tensor) -> bool:
-        work = _rational_components(vector, self.ambient_dim)
-        for row in self.basis:
-            lead = next(i for i, c in enumerate(row.comps) if c)
-            f = work[lead]
-            if f:
-                for i, c in enumerate(row.comps):
-                    cf = c.as_fraction()
-                    if cf:
-                        work[i] -= f * cf
-        return not any(work)
+        rows = [_rational_components(v, self.ambient_dim) for v in self.basis]
+        return linalg.Echelon(self.ambient_dim, rows).contains(
+            _rational_components(vector, self.ambient_dim)
+        )
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(v) for v in other.basis)
@@ -333,26 +324,16 @@ def infinitesimal_holonomy(
     if max_order is None:
         max_order = dim * dim
 
-    span_rows: list[list[Fraction]] = []
-
-    def try_add(endo: Tensor) -> bool:
-        row = [x for r in _endo_matrix(endo) for x in r]
-        if not any(row):
-            return False
-        if linalg.rank(span_rows + [row]) == len(span_rows):
-            return False
-        span_rows.append(row)
-        return True
-
+    span = linalg.Echelon(dim * dim)
     contributors: list[tuple[int, Tensor]] = []
-    pending: list[tuple[int, Tensor]] = [
+    pending: deque[tuple[int, Tensor]] = deque(
         (0, _endo_slice(riem, (i, j)))
         for i in range(1, dim + 1)
         for j in range(i + 1, dim + 1)
-    ]
+    )
     while pending:
-        order, endo = pending.pop(0)
-        if not try_add(endo):
+        order, endo = pending.popleft()
+        if not span.insert([x for r in _endo_matrix(endo) for x in r]):
             continue
         if order > max_order:
             raise StabilizationError(
@@ -364,31 +345,13 @@ def infinitesimal_holonomy(
         for a in range(1, dim + 1):
             pending.append((order + 1, _endo_slice(grad, (a,))))
         contributors.append((order, endo))
-    return _span_basis(span_rows, dim)
+    return [Tensor(dim, (DOWN, UP), tuple(Scalar.rational(c) for c in row)) for row in span.basis()]
 
 
 def _endo_slice(t: Tensor, prefix: tuple[int, ...]) -> Tensor:
     """Freeze leading indices of a (..., down, up) tensor to an endomorphism."""
     dim = t.dim
     return Tensor.from_function(dim, (DOWN, UP), lambda q, k: t[prefix + (q, k)])
-
-
-def _span_basis(rows: list[list[Fraction]], dim: int) -> list[Tensor]:
-    if not rows:
-        return []
-    red, _ = linalg.rref(rows)
-    out = []
-    for row in red:
-        if not any(row):
-            continue
-        out.append(
-            Tensor(
-                dim,
-                (DOWN, UP),
-                tuple(Scalar.rational(c) for c in row),
-            )
-        )
-    return out
 
 
 def commutes_with_holonomy(endo: Tensor, generators: list[Tensor]) -> bool:
@@ -422,17 +385,10 @@ def parallel_endomorphisms(alg: FrameAlgebra, conn: Connection) -> list[Tensor]:
             "parallel endomorphism solving needs a rational connection; "
             "substitute the parameter first"
         ) from exc
-    basis = linalg.nullspace([_dense_row(r, dim * dim) for r in rows], dim * dim)
+    basis = linalg.nullspace(rows, dim * dim)
     return [
         Tensor(dim, (DOWN, UP), tuple(Scalar.rational(c) for c in row)) for row in basis
     ]
-
-
-def _dense_row(row: dict[int, Fraction], n: int) -> list[Fraction]:
-    out = [_F0] * n
-    for c, v in row.items():
-        out[c] = v
-    return out
 
 
 # -- the aggregated report -------------------------------------------------------
@@ -469,6 +425,7 @@ def verify_automorphism(
     conn: Connection,
     x: Tensor,
     beta=None,
+    holonomy=None,
 ) -> AutomorphismReport:
     """Run the full verdict chain.
 
@@ -476,6 +433,10 @@ def verify_automorphism(
     naming the failing identity.  When ``beta`` is given, the connection
     and field are specialized at that rational value first; otherwise a
     parameter-dependent filtration or holonomy step raises ParameterError.
+    ``holonomy``, when given, is a callable returning the infinitesimal
+    holonomy of the (specialized) connection; it is called only when the
+    chain reaches the holonomy step, so callers verifying several fields of
+    one connection can pass one memoized callable and close the span once.
     """
     if beta is not None:
         conn = conn.substitute(beta)
@@ -504,7 +465,7 @@ def verify_automorphism(
         top = top_image(endo)
         isotropic = is_isotropic(omega, top)
         lagrangian = is_lagrangian(omega, top)
-        generators = infinitesimal_holonomy(alg, conn)
+        generators = holonomy() if holonomy is not None else infinitesimal_holonomy(alg, conn)
         commutes = commutes_with_holonomy(endo, generators)
 
     return AutomorphismReport(

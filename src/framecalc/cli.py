@@ -16,6 +16,7 @@ rendered in the exact literal grammar, never as floats.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -150,9 +151,10 @@ def _cmd_verify(args) -> int:
             vec = vec.substitute(args.beta)
         requested.append((args.vector, vec))
 
+    holonomy = functools.cache(lambda: infinitesimal_holonomy(model.algebra, conn))
     reports = []
     for name, vec in requested:
-        report = verify_automorphism(model.algebra, model.omega, conn, vec)
+        report = verify_automorphism(model.algebra, model.omega, conn, vec, holonomy=holonomy)
         reports.append((name, report))
 
     if args.beta is not None:

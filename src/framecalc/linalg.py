@@ -1,14 +1,26 @@
 """Exact linear algebra over the rationals.
 
-Dense routines (echelon form, rank, nullspace, inverse, Pfaffian) work on
-lists of :class:`fractions.Fraction` rows.  The sparse affine solver keeps
-a rational coefficient matrix but allows polynomial right-hand sides, so
-parametrized inhomogeneous systems solve exactly.
+Every elimination in the package goes through one engine, :class:`Echelon`:
+an incrementally maintained, fully reduced row-echelon basis over
+:class:`fractions.Fraction`, with sparse ``{column: value}`` rows.  A row
+is inserted by clearing its entries in the stored pivot columns; a nonzero
+remainder is scaled to a leading 1 and its pivot column is cleared from
+the stored rows.  ``rref``, ``rank``, ``nullspace``, ``invert`` and the
+sparse affine solver are thin wrappers over it; only the Pfaffian (a
+cofactor expansion) does not eliminate.
 
-Pivoting is fixed: columns left to right, first row with a nonzero entry
-in the pivot column (row-major order).  No size heuristics are needed
-because the arithmetic is exact, and the fixed rule makes every echelon
-output canonical and reproducible.
+Pivoting is fixed: the pivot of a stored row is its leftmost nonzero
+column, scaled to 1, and every other stored row is zero there.  These are
+the conditions of the reduced row-echelon form, and a subspace has exactly
+one basis that meets them.  So the stored basis depends only on the span
+of the inserted rows, never on their order or on how the elimination went:
+every echelon output is canonical and reproducible, and no size heuristics
+are needed because the arithmetic is exact.
+
+The affine solver allows polynomial right-hand sides: it carries them as
+one extra, rightmost column of :class:`Scalar` entries (an augmented
+matrix), so parametrized inhomogeneous systems solve exactly while every
+pivot stays rational.
 """
 
 from __future__ import annotations
@@ -22,62 +34,131 @@ _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
-def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form.  Returns (matrix, pivot column indices)."""
-    m = [list(r) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots: list[int] = []
-    prow = 0
-    for col in range(ncols):
-        pr = None
-        for r in range(prow, len(m)):
-            if m[r][col]:
-                pr = r
-                break
-        if pr is None:
-            continue
-        m[prow], m[pr] = m[pr], m[prow]
-        pv = m[prow][col]
+def _sparse(row) -> dict:
+    """A fresh ``{column: value}`` copy of a dense or sparse row, zeros dropped."""
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    return {c: x for c, x in items if x}
+
+
+def _subtract(target: dict, f, source: dict) -> None:
+    """``target -= f * source`` on sparse rows, dropping cancelled entries."""
+    for c, x in source.items():
+        if c in target:
+            nv = target[c] - f * x
+            if nv:
+                target[c] = nv
+            else:
+                del target[c]
+        else:
+            target[c] = -(f * x)
+
+
+class Echelon:
+    """Reduced row-echelon basis of the span of the rows inserted so far.
+
+    Rows are dense sequences of ``ncols`` values or sparse dicts from column
+    to value.  Each stored row is kept as its pivot column and its tail, the
+    entries other than the leading 1; tails are zero in every pivot column.
+    """
+
+    __slots__ = ("ncols", "_tails")
+
+    def __init__(self, ncols: int, rows=()):
+        self.ncols = ncols
+        self._tails: dict[int, dict[int, Fraction]] = {}
+        for row in rows:
+            self.insert(row)
+
+    def __len__(self) -> int:
+        return len(self._tails)
+
+    @property
+    def pivots(self) -> list[int]:
+        return sorted(self._tails)
+
+    def reduce(self, row) -> dict[int, Fraction]:
+        """Sparse remainder of ``row`` after clearing every pivot column.
+
+        Tails are zero in the other pivot columns, so clearing one pivot
+        never changes the entry in another and one pass suffices.
+        """
+        v = _sparse(row)
+        tails = self._tails
+        for p in [c for c in v if c in tails]:
+            _subtract(v, v.pop(p), tails[p])
+        return v
+
+    def contains(self, row) -> bool:
+        return not self.reduce(row)
+
+    def insert(self, row) -> bool:
+        """Add ``row`` to the span; False when it already lies in it."""
+        v = self.reduce(row)
+        if not v:
+            return False
+        self._add(v)
+        return True
+
+    def _add(self, v: dict) -> None:
+        """Store a nonzero remainder returned by :meth:`reduce`."""
+        q = min(v)
+        pv = v.pop(q)
         if pv != 1:
-            m[prow] = [x / pv for x in m[prow]]
-        lead = m[prow]
-        for r in range(len(m)):
-            if r != prow and m[r][col]:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], lead)]
-        pivots.append(col)
-        prow += 1
-        if prow == len(m):
-            break
-    return m, pivots
+            v = {c: x / pv for c, x in v.items()}
+        for tail in self._tails.values():
+            f = tail.pop(q, None)
+            if f is not None:
+                _subtract(tail, f, v)
+        self._tails[q] = v
+
+    def basis(self) -> list[list[Fraction]]:
+        """Dense canonical basis rows, sorted by pivot column."""
+        out = []
+        for p in sorted(self._tails):
+            row = [_F0] * self.ncols
+            row[p] = _F1
+            for c, x in self._tails[p].items():
+                row[c] = x
+            out.append(row)
+        return out
+
+    def kernel(self, ncols: int | None = None) -> "Echelon":
+        """The echelon basis of {x : row . x = 0 for every stored row},
+        over the first ``ncols`` columns (default all).
+
+        Each free column f gives the solution with x_f = 1, the other free
+        coordinates 0 and x_p = -tail_p[f] on the pivots; inserting these
+        sparse vectors canonicalizes them.
+        """
+        n = self.ncols if ncols is None else ncols
+        vectors = {f: {f: _F1} for f in range(n) if f not in self._tails}
+        for p, tail in self._tails.items():
+            for c, x in tail.items():
+                if c < n:
+                    vectors[c][p] = -x
+        return Echelon(n, vectors.values())
+
+
+def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form.  Returns (matrix, pivot column indices);
+    the matrix keeps one row per input row, zero rows last."""
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    ech = Echelon(ncols, rows)
+    red = ech.basis()
+    red.extend([_F0] * ncols for _ in range(len(rows) - len(red)))
+    return red, ech.pivots
 
 
 def rank(rows: list[list[Fraction]]) -> int:
-    return len(rref(rows)[1])
+    return len(Echelon(len(rows[0]) if rows else 0, rows))
 
 
-def nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Canonical basis of {x : rows @ x = 0}, as reduced echelon rows."""
-    if not rows:
-        basis = [[_F1 if c == f else _F0 for c in range(ncols)] for f in range(ncols)]
-        return basis
-    red, pivots = rref(rows)
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        v = [_F0] * ncols
-        v[f] = _F1
-        for r, c in enumerate(pivots):
-            v[c] = -red[r][f]
-        basis.append(v)
-    if not basis:
-        return []
-    canon, _ = rref(basis)
-    return [row for row in canon if any(row)]
+def nullspace(rows, ncols: int) -> list[list[Fraction]]:
+    """Canonical basis of {x : rows @ x = 0}, as reduced echelon rows.
+    Rows may be dense or sparse."""
+    return Echelon(ncols, rows).kernel().basis()
 
 
 def invert(mat: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -127,63 +208,21 @@ def solve_affine_sparse(
     rational nullspace basis).  Raises :class:`InconsistencyError` when the
     system has no solution.
     """
-    work = [dict(r) for r in rows]
-    right = list(rhs)
-    pivots: list[tuple[int, int]] = []  # (column, row)
-    used = [False] * len(work)
-    for col in range(nunknowns):
-        pr = None
-        for r in range(len(work)):
-            if not used[r] and work[r].get(col):
-                pr = r
-                break
-        if pr is None:
+    ech = Echelon(nunknowns + 1)
+    for r, (row, value) in enumerate(zip(rows, rhs)):
+        aug = dict(row)
+        if value:
+            aug[nunknowns] = value
+        rest = ech.reduce(aug)
+        if not rest:
             continue
-        used[pr] = True
-        pv = work[pr][col]
-        if pv != 1:
-            work[pr] = {c: v / pv for c, v in work[pr].items()}
-            right[pr] = right[pr] / pv
-        lead = work[pr]
-        lead_rhs = right[pr]
-        for r in range(len(work)):
-            if r == pr:
-                continue
-            f = work[r].get(col)
-            if not f:
-                continue
-            row = work[r]
-            for c, v in lead.items():
-                nv = row.get(c, _F0) - f * v
-                if nv:
-                    row[c] = nv
-                else:
-                    row.pop(c, None)
-            if lead_rhs:
-                right[r] = right[r] - lead_rhs * f
-        pivots.append((col, pr))
-
-    for r in range(len(work)):
-        if not work[r] and right[r]:
-            raise InconsistencyError(f"system is inconsistent (row {r}: 0 = {right[r]})")
+        if min(rest) == nunknowns:
+            raise InconsistencyError(
+                f"system is inconsistent (row {r}: 0 = {rest[nunknowns]})"
+            )
+        ech._add(rest)
 
     particular = [Scalar.zero()] * nunknowns
-    for col, r in pivots:
-        particular[col] = right[r]
-
-    pivot_cols = {col for col, _ in pivots}
-    basis: list[list[Fraction]] = []
-    for f in range(nunknowns):
-        if f in pivot_cols:
-            continue
-        v = [_F0] * nunknowns
-        v[f] = _F1
-        for col, r in pivots:
-            coeff = work[r].get(f)
-            if coeff:
-                v[col] = -coeff
-        basis.append(v)
-    if basis:
-        canon, _ = rref(basis)
-        basis = [row for row in canon if any(row)]
-    return particular, basis
+    for p, tail in ech._tails.items():
+        particular[p] = tail.get(nunknowns, Scalar.zero())
+    return particular, ech.kernel(nunknowns).basis()

@@ -57,12 +57,8 @@ class AffineSolutionSpace:
             target = [c.as_fraction() for c in delta.comps]
         except ParameterError:
             return False
-        rows = [list(b.gamma.comps) for b in self.homogeneous_basis]
-        rows = [[c.as_fraction() for c in r] for r in rows]
-        if not rows:
-            return not any(target)
-        before = linalg.rank(rows)
-        return linalg.rank(rows + [target]) == before
+        rows = [[c.as_fraction() for c in b.gamma.comps] for b in self.homogeneous_basis]
+        return linalg.Echelon(len(target), rows).contains(target)
 
 
 def _gamma_unknown(dim: int, i: int, j: int, k: int) -> int:

@@ -259,13 +259,21 @@ class _Scanner:
     def fail(self, message: str):
         raise ScalarParseError(message, self.pos)
 
+    def digit(self) -> bool:
+        return "0" <= self.peek() <= "9"
+
     def uint(self) -> int:
         start = self.pos
-        while self.peek().isdigit():
+        while self.digit():
             self.pos += 1
         if self.pos == start:
             self.fail("expected digits")
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # beyond the interpreter's integer string conversion limit
+            raise ScalarParseError(
+                f"integer literal of {self.pos - start} digits is too long", start
+            ) from None
 
     def param(self) -> str:
         start = self.pos
@@ -274,7 +282,7 @@ class _Scanner:
             self.fail("expected parameter name")
         while True:
             ch = self.peek()
-            if "a" <= ch <= "z" or ch.isdigit() or ch == "_":
+            if "a" <= ch <= "z" or "0" <= ch <= "9" or ch == "_":
                 self.pos += 1
             else:
                 break
@@ -330,11 +338,11 @@ def parse_scalar(text: str) -> Scalar:
 
 def _parse_term(sc: _Scanner) -> tuple[int, Fraction, str | None]:
     ch = sc.peek()
-    if ch == "-" or ch.isdigit():
+    if ch == "-" or sc.digit():
         neg = ch == "-"
         if neg:
             sc.pos += 1
-            if not sc.peek().isdigit():
+            if not sc.digit():
                 sc.fail("expected digits after sign")
         num = sc.uint()
         den = 1

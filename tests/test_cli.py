@@ -3,6 +3,8 @@ from importlib import resources
 
 import pytest
 
+import framecalc.analysis
+import framecalc.cli
 from framecalc.cli import main
 
 MACHINE_REPORT_KEYS = {
@@ -94,6 +96,24 @@ def test_verify_all_invariant_machine_is_array(capsys):
         assert rep["is_symplectic"] is True
 
 
+def test_verify_all_invariant_closes_holonomy_once(monkeypatch, capsys):
+    calls = []
+    original = framecalc.analysis.infinitesimal_holonomy
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(framecalc.analysis, "infinitesimal_holonomy", counting)
+    monkeypatch.setattr(framecalc.cli, "infinitesimal_holonomy", counting)
+    code = main(["verify", shipped("darboux2.spec"), "--all-invariant", "--format", "machine"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert len(payload) == 4
+    assert all(rep["holonomy_commutes"] is True for rep in payload)
+    assert len(calls) == 1
+
+
 def test_verify_missing_file_exits_1(capsys):
     code = main(["verify", "/no/such/file.spec", "--vector", "E1"])
     assert code == 1
@@ -112,6 +132,16 @@ def test_verify_bad_scalar_literal_exits_1(tmp_path, capsys):
         json.dumps({"dim": 2, "omega": [{"i": 1, "j": 2, "v": "1 / 2"}]})
     )
     assert main(["verify", str(bad), "--vector", "E1"]) == 1
+
+
+@pytest.mark.parametrize(
+    "literal", ["1" * 5000, "1\u00b2", "\u0663"], ids=["overlong", "superscript", "arabic-indic"]
+)
+def test_verify_non_ascii_or_overlong_literal_exits_1(tmp_path, capsys, literal):
+    bad = tmp_path / "bad.spec"
+    bad.write_text(json.dumps({"dim": 2, "omega": [{"i": 1, "j": 2, "v": literal}]}))
+    assert main(["verify", str(bad), "--vector", "E1"]) == 1
+    assert "offset" in capsys.readouterr().err
 
 
 def test_verify_semantic_violation_exits_2(tmp_path, capsys):

@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framecalc.errors import InconsistencyError
-from framecalc.linalg import invert, nullspace, pfaffian, rank, rref, solve_affine_sparse
+from framecalc.linalg import Echelon, invert, nullspace, pfaffian, rank, rref, solve_affine_sparse
 from framecalc.scalars import Scalar
 
 F = Fraction
@@ -139,3 +141,146 @@ def test_solve_affine_sparse_inconsistent():
     rows = _sparse([{0: 1}, {0: 1}])
     with pytest.raises(InconsistencyError):
         solve_affine_sparse(rows, [Scalar.one(), Scalar.rational(2)], 1)
+
+
+# -- the echelon engine against a dense reference -------------------------------------
+
+
+def dense_rref(rows, npivot=None):
+    """Reference Gauss-Jordan elimination on dense rows: pivot columns left to
+    right (only the first ``npivot`` columns may pivot), first row with a
+    nonzero entry; entries may be Fractions or Scalars."""
+    m = [list(r) for r in rows]
+    if not m:
+        return [], []
+    pivots = []
+    prow = 0
+    for col in range(len(m[0]) if npivot is None else npivot):
+        pr = next((r for r in range(prow, len(m)) if m[r][col]), None)
+        if pr is None:
+            continue
+        m[prow], m[pr] = m[pr], m[prow]
+        pv = m[prow][col]
+        m[prow] = [x / pv for x in m[prow]]
+        lead = m[prow]
+        for r in range(len(m)):
+            if r != prow and m[r][col]:
+                f = m[r][col]
+                m[r] = [a - f * b for a, b in zip(m[r], lead)]
+        pivots.append(col)
+        prow += 1
+        if prow == len(m):
+            break
+    return m, pivots
+
+
+def dense_nullspace(rows, ncols):
+    """Reference kernel basis: free-column vectors, then a dense re-rref."""
+    red, pivots = dense_rref(rows)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [F(0)] * ncols
+        v[f] = F(1)
+        for r, c in enumerate(pivots):
+            v[c] = -red[r][f]
+        basis.append(v)
+    return [row for row in dense_rref(basis)[0] if any(row)]
+
+
+def dense_solve(rows, rhs, n):
+    """Reference affine solve on the dense augmented matrix [rows | rhs]."""
+    aug = [[row.get(c, F(0)) for c in range(n)] + [value] for row, value in zip(rows, rhs)]
+    red, pivots = dense_rref(aug, n)
+    if any(row[n] for row in red[len(pivots):]):
+        raise InconsistencyError("reference: inconsistent")
+    particular = [Scalar.zero()] * n
+    for r, p in enumerate(pivots):
+        particular[p] = red[r][n]
+    return particular, dense_nullspace([row[:n] for row in aug], n)
+
+
+entries_st = st.one_of(st.just(F(0)), st.fractions(min_value=-3, max_value=3, max_denominator=3))
+
+
+@st.composite
+def matrices_st(draw, max_rows=6, max_cols=6):
+    """(ncols, rows) with zero rows, duplicates and combinations mixed in."""
+    ncols = draw(st.integers(min_value=1, max_value=max_cols))
+    row_st = st.lists(entries_st, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row_st, max_size=max_rows))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        if rows and draw(st.booleans()):
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            c = draw(entries_st)
+            rows.append([x + c * y for x, y in zip(a, b)])
+        else:
+            rows.append([F(0)] * ncols)
+    order = draw(st.permutations(range(len(rows))))
+    return ncols, [rows[i] for i in order]
+
+
+def as_sparse(row):
+    return {c: x for c, x in enumerate(row) if x}
+
+
+@given(matrices_st())
+@settings(max_examples=150, deadline=None)
+def test_echelon_basis_matches_dense_rref(matrix):
+    ncols, rows = matrix
+    expected = [row for row in dense_rref(rows)[0] if any(row)]
+    assert Echelon(ncols, rows).basis() == expected
+    assert Echelon(ncols, [as_sparse(r) for r in reversed(rows)]).basis() == expected
+    if rows:
+        assert rref(rows) == dense_rref(rows)
+        assert rank(rows) == len(expected)
+
+
+@given(matrices_st(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_echelon_contains_agrees_with_rank(matrix, data):
+    ncols, rows = matrix
+    v = data.draw(
+        st.one_of(
+            st.lists(entries_st, min_size=ncols, max_size=ncols),
+            st.sampled_from(rows or [[F(0)] * ncols]),
+        )
+    )
+    expected = rank(rows + [v]) == rank(rows)
+    assert expected == (len(dense_rref(rows + [v])[1]) == len(dense_rref(rows)[1]))
+    span = Echelon(ncols, rows)
+    assert span.contains(v) == expected
+    assert (not span.reduce(v)) == expected
+    assert span.insert(v) == (not expected)
+
+
+@given(matrices_st())
+@settings(max_examples=150, deadline=None)
+def test_nullspace_matches_dense_reference(matrix):
+    ncols, rows = matrix
+    expected = dense_nullspace(rows, ncols)
+    assert nullspace(rows, ncols) == expected
+    assert nullspace([as_sparse(r) for r in rows], ncols) == expected
+
+
+@given(matrices_st(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_solve_affine_sparse_matches_dense_reference(matrix, data):
+    ncols, dense = matrix
+    b = Scalar.parameter("b")
+    row_st = st.lists(entries_st, min_size=ncols, max_size=ncols)
+    if data.draw(st.booleans()):  # consistent: rhs = dense @ (x0 + b x1)
+        x0, x1 = data.draw(row_st), data.draw(row_st)
+        rhs = [Scalar.rational(p) + b * q for p, q in zip(matvec(dense, x0), matvec(dense, x1))]
+    else:
+        rhs = [Scalar.rational(x) + b * y for x, y in zip(data.draw(row_st), data.draw(row_st))]
+        rhs = rhs[: len(dense)] + [Scalar.zero()] * (len(dense) - len(rhs))
+    rows = [as_sparse(r) for r in dense]
+    try:
+        expected = dense_solve(rows, rhs, ncols)
+    except InconsistencyError:
+        with pytest.raises(InconsistencyError):
+            solve_affine_sparse(rows, rhs, ncols)
+        return
+    assert solve_affine_sparse(rows, rhs, ncols) == expected

@@ -62,12 +62,28 @@ def test_parse_cancellation_gives_zero():
         ("-", 1),
         ("b^-2", 2),
         ("B", 0),
+        ("1\u00b2", 1),  # superscript two
+        ("b^\u00b9", 2),  # superscript one
+        ("\u0663", 0),  # Arabic-Indic three
+        ("b\u00b2", 1),
     ],
 )
 def test_parse_errors_carry_offsets(text, offset):
     with pytest.raises(ScalarParseError) as err:
         parse_scalar(text)
     assert err.value.offset == offset
+
+
+@pytest.mark.parametrize(
+    "text, offset",
+    [("9" * 5000, 0), ("-" + "9" * 5000, 1), ("1/" + "7" * 5000, 2), ("b^" + "3" * 5000, 2)],
+    ids=["numerator", "negative", "denominator", "exponent"],
+)
+def test_parse_overlong_integer_literal(text, offset):
+    with pytest.raises(ScalarParseError) as err:
+        parse_scalar(text)
+    assert err.value.offset == offset
+    assert "5000 digits" in str(err.value)
 
 
 def test_parse_zero_denominator():
