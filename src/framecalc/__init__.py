@@ -7,6 +7,7 @@ exact equality, never a numerical tolerance.
 
 from .analysis import (
     AutomorphismReport,
+    Geometry,
     Subspace,
     apply_endo,
     commutes_with_holonomy,

@@ -5,24 +5,44 @@ aggregated report.
 Rank and echelon computations need rational matrices: over the polynomial
 ring the rank depends on the parameter locus, so parameter-dependent
 inputs are refused with an instruction to substitute a value first.
+
+The chain asks the same questions of one model many times: is the
+connection torsion-free, does it preserve the form, what are its
+curvature, the powers Omega_{n-1} and Omega_n and its infinitesimal
+holonomy.  A :class:`Geometry` holds one (algebra, form, connection) and
+answers each of these on first use, once; it lives for one CLI command or
+one library call and is then dropped, so nothing is cached across calls.
+The chain's functions take it as an optional ``geometry`` argument and
+build a fresh one when none is given.  Every ``ConventionFault``
+cross-check still runs, once per vector field.
+
+The holonomy closure stops early when the span fills sp(omega).  For a
+connection with nabla omega = 0, every curvature endomorphism R(X, Y) is
+omega-skew; covariant derivatives of omega-skew endomorphisms and brackets
+of them are omega-skew again.  So the whole span lies in sp(omega), of
+dimension n(2n+1) for dim = 2n, and once it reaches that dimension no
+candidate can enlarge it (Ambrose & Singer 1953, *A theorem on holonomy*).
+The stop is taken only after the geometry has established nabla omega = 0;
+otherwise the only bound is dim^2, the whole endomorphism space.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from . import linalg
 from .connections import (
     Connection,
+    _require_no_torsion,
+    _require_parallel_form,
     covariant_derivative,
     curvature,
     divergence,
     first_torsion_violation,
     lie_derivative_connection,
-    preserves_form,
-    require_symplectic,
 )
 from .errors import (
     ConventionFault,
@@ -45,6 +65,72 @@ from .tensors import DOWN, UP, Tensor, basis_vector, identity_endomorphism
 
 _ZERO = Scalar.zero()
 _F0 = Fraction(0)
+_DERIVATIVE = object()  # holonomy work item: the frame slices of nabla endo
+
+
+# -- the per-model context -----------------------------------------------------
+
+
+class Geometry:
+    """What the verdict chain knows about one (algebra, form, connection).
+
+    Each cached property is computed on first use through the package's
+    public functions and kept for the life of this object: one CLI command
+    or one library call.  ``omega`` may be None for the questions that do
+    not involve the form.
+    """
+
+    def __init__(self, alg: FrameAlgebra, omega: SymplecticForm | None, conn: Connection):
+        self.alg = alg
+        self.omega = omega
+        self.conn = conn
+
+    def for_model(self, alg: FrameAlgebra, conn: Connection, omega=None) -> "Geometry":
+        """This context, after checking that it describes the given model."""
+        if (self.alg, self.conn) != (alg, conn) or (omega is not None and self.omega != omega):
+            raise ShapeError("the geometry context describes a different model")
+        return self
+
+    @cached_property
+    def torsion_violation(self):
+        """First (i, j) pair carrying torsion, or None."""
+        return first_torsion_violation(self.alg, self.conn)
+
+    def require_torsion_free(self) -> None:
+        _require_no_torsion(self.torsion_violation)
+
+    @cached_property
+    def nabla_omega(self) -> Tensor:
+        return covariant_derivative(self.alg, self.conn, self.omega.lower)
+
+    @property
+    def preserves_form(self) -> bool:
+        return self.nabla_omega.is_zero()
+
+    def require_symplectic(self) -> None:
+        """Raise PreconditionError naming the failing identity, if any."""
+        self.require_torsion_free()
+        _require_parallel_form(self.nabla_omega)
+
+    @cached_property
+    def curvature(self) -> Tensor:
+        return curvature(self.alg, self.conn, torsion_free=self.torsion_violation is None)
+
+    @cached_property
+    def top_omega_powers(self) -> tuple[Tensor, Tensor]:
+        """(Omega_{n-1}, Omega_n) for dim = 2n."""
+        n = self.omega.dim // 2
+        return omega_power(self.omega, n - 1), omega_power(self.omega, n)
+
+    @cached_property
+    def holonomy(self) -> list[Tensor]:
+        return infinitesimal_holonomy(self.alg, self.conn, omega=self.omega, geometry=self)
+
+
+def _geometry_for(alg, conn, omega, geometry) -> Geometry:
+    if geometry is None:
+        return Geometry(alg, omega, conn)
+    return geometry.for_model(alg, conn, omega)
 
 
 # -- rational subspaces -------------------------------------------------------
@@ -200,7 +286,7 @@ def _endo_matrix(a: Tensor) -> list[list[Fraction]]:
 
 
 def musical_endomorphism(
-    alg: FrameAlgebra, omega: SymplecticForm, conn: Connection, x: Tensor
+    alg: FrameAlgebra, omega: SymplecticForm, conn: Connection, x: Tensor, geometry=None
 ) -> Tensor:
     """A[i,j] with A = d(X-flat) seen as an endomorphism through the form.
 
@@ -209,10 +295,9 @@ def musical_endomorphism(
     nabla_i X^j - Omega^{jp} nabla_p X_i.  The two must agree for a
     torsion-free form-preserving connection.
     """
-    pair = first_torsion_violation(alg, conn)
-    if pair is not None:
-        raise PreconditionError(f"torsion nonzero at {pair}")
-    if not preserves_form(alg, conn, omega):
+    geo = _geometry_for(alg, conn, omega, geometry)
+    geo.require_torsion_free()
+    if not geo.preserves_form:
         raise PreconditionError("connection does not preserve the form")
     x_flat = musical_flat(x, omega)
     grad_flat = covariant_derivative(alg, conn, x_flat)
@@ -301,49 +386,66 @@ def top_image(endo: Tensor) -> Subspace:
 
 
 def infinitesimal_holonomy(
-    alg: FrameAlgebra, conn: Connection, max_order: int | None = None
+    alg: FrameAlgebra,
+    conn: Connection,
+    max_order: int | None = None,
+    omega: SymplecticForm | None = None,
+    geometry: Geometry | None = None,
 ) -> list[Tensor]:
     """Canonical basis of the smallest bracket-closed span of curvature
     endomorphisms and their iterated covariant derivatives.
 
-    Worklist closure: whenever an endomorphism enlarges the span, its frame
-    derivatives and its brackets with the other contributors are queued.
-    Derivatives of span-dependent candidates are redundant because the
-    covariant derivative is linear over the (constant) scalars, so this
-    visits the same span as slicing the iterated derivative tensors.
-    Raises StabilizationError when a candidate of derivative order above
-    ``max_order`` (default dim squared) still enlarges the span.
+    Worklist closure: whenever an endomorphism enlarges the span, the
+    brackets with the earlier contributors and then its frame derivatives
+    are queued, as (endo, endo) pairs and a derivative marker; each is
+    computed only when popped, and the derivative's dim slices take the
+    marker's place in the queue.  Derivatives of span-dependent candidates
+    are redundant because the covariant derivative is linear over the
+    (constant) scalars, so this visits the same span as slicing the
+    iterated derivative tensors.  The closure stops once the span has
+    dimension dim^2, or n(2n+1) when ``omega`` is given and nabla omega = 0
+    (see the module docstring).  Raises StabilizationError when a
+    candidate of derivative order above ``max_order`` (default dim
+    squared) still enlarges the span.
     """
-    pair = first_torsion_violation(alg, conn)
-    if pair is not None:
-        raise PreconditionError(f"torsion nonzero at {pair}")
-    riem = curvature(alg, conn)
+    geo = _geometry_for(alg, conn, omega, geometry)
+    geo.require_torsion_free()
+    riem = geo.curvature
     if riem.is_zero():
         return []
     dim = alg.dim
     if max_order is None:
         max_order = dim * dim
+    sp_dim = dim * (dim + 1) // 2 if geo.omega is not None else None
 
     span = linalg.Echelon(dim * dim)
     contributors: list[tuple[int, Tensor]] = []
-    pending: deque[tuple[int, Tensor]] = deque(
-        (0, _endo_slice(riem, (i, j)))
+    # (order, endo, None) is a candidate, (order, endo, other) the bracket
+    # [endo, other], (order, endo, _DERIVATIVE) the slices of nabla endo.
+    pending: deque[tuple[int, Tensor, object]] = deque(
+        (0, _endo_slice(riem, (i, j)), None)
         for i in range(1, dim + 1)
         for j in range(i + 1, dim + 1)
     )
     while pending:
-        order, endo = pending.popleft()
+        order, endo, tag = pending.popleft()
+        if tag is _DERIVATIVE:
+            grad = covariant_derivative(alg, conn, endo)
+            pending.extendleft((order, _endo_slice(grad, (a,)), None) for a in range(dim, 0, -1))
+            continue
+        if tag is not None:
+            endo = commutator(endo, tag)
         if not span.insert([x for r in _endo_matrix(endo) for x in r]):
             continue
         if order > max_order:
             raise StabilizationError(
                 f"holonomy span still growing at derivative order {order} (cap {max_order})"
             )
+        if len(span) == dim * dim or (len(span) == sp_dim and geo.preserves_form):
+            break
         for other_order, other in contributors:
-            pending.append((max(order, other_order), commutator(endo, other)))
-        grad = covariant_derivative(alg, conn, endo)
-        for a in range(1, dim + 1):
-            pending.append((order + 1, _endo_slice(grad, (a,))))
+            pending.append((max(order, other_order), endo, other))
+        pending.append((order + 1, endo, _DERIVATIVE))
         contributors.append((order, endo))
     return [Tensor(dim, (DOWN, UP), tuple(Scalar.rational(c) for c in row)) for row in span.basis()]
 
@@ -425,7 +527,7 @@ def verify_automorphism(
     conn: Connection,
     x: Tensor,
     beta=None,
-    holonomy=None,
+    geometry: Geometry | None = None,
 ) -> AutomorphismReport:
     """Run the full verdict chain.
 
@@ -433,17 +535,17 @@ def verify_automorphism(
     naming the failing identity.  When ``beta`` is given, the connection
     and field are specialized at that rational value first; otherwise a
     parameter-dependent filtration or holonomy step raises ParameterError.
-    ``holonomy``, when given, is a callable returning the infinitesimal
-    holonomy of the (specialized) connection; it is called only when the
-    chain reaches the holonomy step, so callers verifying several fields of
-    one connection can pass one memoized callable and close the span once.
+    ``geometry``, when given, is the :class:`Geometry` of the (specialized)
+    model; callers verifying several fields of one connection pass one, so
+    its preconditions, curvature, form powers and holonomy are computed once.
     """
     if beta is not None:
         conn = conn.substitute(beta)
         x = x.substitute(beta)
-    require_symplectic(alg, conn, omega)
+    geo = _geometry_for(alg, conn, omega, geometry)
+    geo.require_symplectic()
 
-    lx = lie_derivative_connection(alg, conn, x)
+    lx = lie_derivative_connection(alg, conn, x, geometry=geo)
     is_aut = lx.is_zero()
 
     x_flat = musical_flat(x, omega)
@@ -451,13 +553,13 @@ def verify_automorphism(
     is_symp = d_flat.is_zero()
     div = divergence(alg, conn, x)
     parallel = covariant_derivative(alg, conn, d_flat).is_zero()
-    n = alg.dim // 2
-    wedge_ok = wedge(d_flat, omega_power(omega, n - 1)) == omega_power(omega, n).scale(div)
+    omega_rest, omega_top = geo.top_omega_powers
+    wedge_ok = wedge(d_flat, omega_rest) == omega_top.scale(div)
 
     endo = traces = nil = kernels = images = None
     isotropic = lagrangian = commutes = None
     if is_aut:
-        endo = musical_endomorphism(alg, omega, conn, x)
+        endo = musical_endomorphism(alg, omega, conn, x, geometry=geo)
         traces = tuple(trace_power(endo, k) for k in range(1, alg.dim + 1))
         nil = nilpotency_index(endo)
         kernels, images = null_filtration(endo)
@@ -465,8 +567,7 @@ def verify_automorphism(
         top = top_image(endo)
         isotropic = is_isotropic(omega, top)
         lagrangian = is_lagrangian(omega, top)
-        generators = holonomy() if holonomy is not None else infinitesimal_holonomy(alg, conn)
-        commutes = commutes_with_holonomy(endo, generators)
+        commutes = commutes_with_holonomy(endo, geo.holonomy)
 
     return AutomorphismReport(
         dim=alg.dim,

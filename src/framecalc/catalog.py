@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .analysis import (
+    Geometry,
     apply_endo,
-    infinitesimal_holonomy,
     is_lagrangian,
     musical_endomorphism,
     nilpotency_index,
@@ -25,9 +25,7 @@ from .analysis import (
 from .connections import (
     Connection,
     connection_from_entries,
-    covariant_derivative,
     covariant_derivative_vector,
-    curvature,
     divergence,
     lie_derivative_connection,
     require_symplectic,
@@ -41,7 +39,6 @@ from .frames import (
     abelian_algebra,
     ce_differential,
     lie_derivative_form,
-    omega_power,
     structure_constants,
     symplectic_form,
     validate_algebra,
@@ -149,9 +146,11 @@ def example_identity_checks(beta=None) -> list[CheckResult]:
 
     With ``beta=None`` everything runs symbolically and each residual is a
     polynomial in the parameter; otherwise the family is specialized first.
+    One :class:`Geometry` of the family serves every check.
     """
     model = kodaira_thurston(beta)
     alg, omega, conn = model.algebra, model.omega, model.connection
+    geo = Geometry(alg, omega, conn)
     checks: list[CheckResult] = []
 
     def record(name: str, ok: bool, detail: str):
@@ -192,14 +191,14 @@ def example_identity_checks(beta=None) -> list[CheckResult]:
     t = torsion(alg, conn)
     record("torsion-free", t.is_zero(), f"residual {_first_residual(t)}")
 
-    grad_omega = covariant_derivative(alg, conn, omega.lower)
+    grad_omega = geo.nabla_omega
     record("preserves-omega", grad_omega.is_zero(), f"residual {_first_residual(grad_omega)}")
 
-    riem = curvature(alg, conn)
+    riem = geo.curvature
     record("flat", riem.is_zero(), f"residual {_first_residual(riem)}")
 
     for i in range(1, 5):
-        lx = lie_derivative_connection(alg, conn, e[i - 1])
+        lx = lie_derivative_connection(alg, conn, e[i - 1], geometry=geo)
         record(
             f"automorphism-E{i}",
             lx.is_zero(),
@@ -222,7 +221,7 @@ def example_identity_checks(beta=None) -> list[CheckResult]:
             "L_E2 omega = -e2^e4" if i == 2 else f"L_E{i} omega = 0",
         )
 
-    endo = musical_endomorphism(alg, omega, conn, e[1])
+    endo = musical_endomorphism(alg, omega, conn, e[1], geometry=geo)
     action_ok = (
         apply_endo(endo, e[1]) == -e[2]
         and apply_endo(endo, e[3]) == e[0]
@@ -247,16 +246,16 @@ def example_identity_checks(beta=None) -> list[CheckResult]:
         "im A = span{E1, E3}, Lagrangian",
     )
 
-    generators = infinitesimal_holonomy(alg, conn)
+    generators = geo.holonomy
     record("holonomy-trivial", generators == [], f"{len(generators)} generators")
 
-    report = verify_automorphism(alg, omega, conn, e[1])
+    report = verify_automorphism(alg, omega, conn, e[1], geometry=geo)
     record(
         "E2-not-symplectic",
         report.is_affine_automorphism and not report.is_symplectic,
         "E2 is an affine automorphism with d(E2-flat) != 0",
     )
-    report1 = verify_automorphism(alg, omega, conn, e[0])
+    report1 = verify_automorphism(alg, omega, conn, e[0], geometry=geo)
     record(
         "E1-symplectic",
         report1.is_affine_automorphism and report1.is_symplectic,
@@ -267,8 +266,9 @@ def example_identity_checks(beta=None) -> list[CheckResult]:
     record("divergence-E2", not div, f"nabla_p E2^p = {div}")
 
     d_flat = report.d_flat
-    lhs = wedge(d_flat, omega_power(omega, 1))
-    rhs = omega_power(omega, 2).scale(div)
+    omega_1, omega_2 = geo.top_omega_powers
+    lhs = wedge(d_flat, omega_1)
+    rhs = omega_2.scale(div)
     record("wedge-identity-E2", lhs == rhs, "d(E2-flat) ^ Omega_1 = (div E2) Omega_2")
 
     return checks

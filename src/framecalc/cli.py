@@ -16,12 +16,11 @@ rendered in the exact literal grammar, never as floats.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 from fractions import Fraction
 
-from .analysis import AutomorphismReport, infinitesimal_holonomy, verify_automorphism
+from .analysis import AutomorphismReport, Geometry, infinitesimal_holonomy, verify_automorphism
 from .catalog import example_identity_checks
 from .errors import (
     ConventionFault,
@@ -134,13 +133,14 @@ def _cmd_verify(args) -> int:
     if args.beta is not None:
         conn = conn.substitute(args.beta)
 
+    geometry = Geometry(model.algebra, model.omega, conn)
     requested: list[tuple[str, Tensor]] = []
     if args.all_invariant:
         if not conn.is_rational():
             raise ParameterError(
                 "the connection still carries the parameter; pass --beta to specialize"
             )
-        space = automorphism_space(model.algebra, conn)
+        space = automorphism_space(model.algebra, conn, geometry=geometry)
         for pos, v in enumerate(space.basis):
             requested.append((f"aut[{pos}]", v))
     else:
@@ -151,11 +151,10 @@ def _cmd_verify(args) -> int:
             vec = vec.substitute(args.beta)
         requested.append((args.vector, vec))
 
-    holonomy = functools.cache(lambda: infinitesimal_holonomy(model.algebra, conn))
-    reports = []
-    for name, vec in requested:
-        report = verify_automorphism(model.algebra, model.omega, conn, vec, holonomy=holonomy)
-        reports.append((name, report))
+    reports = [
+        (name, verify_automorphism(model.algebra, model.omega, conn, vec, geometry=geometry))
+        for name, vec in requested
+    ]
 
     if args.beta is not None:
         beta_label = str(args.beta)
@@ -296,7 +295,7 @@ def _cmd_holonomy(args) -> int:
     conn = model.connection
     if args.beta is not None:
         conn = conn.substitute(args.beta)
-    generators = infinitesimal_holonomy(model.algebra, conn)
+    generators = infinitesimal_holonomy(model.algebra, conn, omega=model.omega)
     if args.format == "machine":
         print(
             json.dumps(

@@ -159,26 +159,38 @@ def preserves_form(alg: FrameAlgebra, conn: Connection, omega: SymplecticForm) -
 
 def require_symplectic(alg: FrameAlgebra, conn: Connection, omega: SymplecticForm):
     """Raise PreconditionError naming the failing identity, if any."""
-    pair = first_torsion_violation(alg, conn)
+    _require_no_torsion(first_torsion_violation(alg, conn))
+    _require_parallel_form(covariant_derivative(alg, conn, omega.lower))
+
+
+def _require_no_torsion(pair) -> None:
+    """Raise for a torsion verdict from :func:`first_torsion_violation`."""
     if pair is not None:
         raise PreconditionError(f"torsion nonzero at {pair}")
-    grad = covariant_derivative(alg, conn, omega.lower)
-    for idx, value in zip(grad.indices(), grad.comps):
+
+
+def _require_parallel_form(grad_omega: Tensor) -> None:
+    """Raise at the first nonzero component of nabla omega."""
+    for idx, value in zip(grad_omega.indices(), grad_omega.comps):
         if value:
             raise PreconditionError(
                 f"connection does not preserve the form: nabla-omega nonzero at {idx}"
             )
 
 
-def curvature(alg: FrameAlgebra, conn: Connection) -> Tensor:
+def curvature(alg: FrameAlgebra, conn: Connection, *, torsion_free: bool | None = None) -> Tensor:
     """Curvature R[i,j,q,k], antisymmetric in (i, j).
 
     Intended for torsion-free connections; a torsionful input still gets the
-    frame-bracket formula but is flagged with a warning.
+    frame-bracket formula but is flagged with a warning.  A caller that
+    already knows the torsion verdict passes it as ``torsion_free`` so the
+    torsion is not computed again.
     """
     if alg.dim != conn.dim:
         raise ShapeError("algebra and connection dimensions must agree")
-    if not is_torsion_free(alg, conn):
+    if torsion_free is None:
+        torsion_free = is_torsion_free(alg, conn)
+    if not torsion_free:
         warnings.warn(
             "curvature of a torsionful connection: the frame formula no longer "
             "matches the antisymmetrized second covariant derivative",
@@ -216,7 +228,9 @@ def curvature(alg: FrameAlgebra, conn: Connection) -> Tensor:
     return Tensor(dim, (DOWN, DOWN, DOWN, UP), tuple(comps))
 
 
-def lie_derivative_connection(alg: FrameAlgebra, conn: Connection, x: Tensor) -> Tensor:
+def lie_derivative_connection(
+    alg: FrameAlgebra, conn: Connection, x: Tensor, geometry=None
+) -> Tensor:
     """(L_X nabla)[i,j,k], computed by two independent routes.
 
     Route (a) is the index formula (nabla nabla X) + X . R; route (b) works
@@ -224,11 +238,15 @@ def lie_derivative_connection(alg: FrameAlgebra, conn: Connection, x: Tensor) ->
     symmetric in (i, j); a mismatch raises ConventionFault.
 
     Torsionful connections are refused: the formulas assume torsion-free.
+    ``geometry``, a :class:`framecalc.analysis.Geometry` of this algebra
+    and connection, supplies the torsion verdict and the curvature.
     """
-    pair = first_torsion_violation(alg, conn)
-    if pair is not None:
-        raise PreconditionError(f"torsion nonzero at {pair}")
-    riem = curvature(alg, conn)
+    if geometry is None:
+        _require_no_torsion(first_torsion_violation(alg, conn))
+        riem = curvature(alg, conn, torsion_free=True)
+    else:
+        geometry.for_model(alg, conn).require_torsion_free()
+        riem = geometry.curvature
     a = _lie_derivative_given_curvature(alg, conn, x, riem)
 
     dim = alg.dim

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .analysis import Subspace
+from .analysis import Geometry, Subspace, _geometry_for
 from .connections import Connection, curvature, _lie_derivative_given_curvature
-from .errors import InconsistencyError, ParameterError, PreconditionError, ShapeError
+from .errors import InconsistencyError, ParameterError, ShapeError
 from .frames import FrameAlgebra, SymplecticForm, ce_differential, musical_flat
 from .scalars import Scalar
 from .tensors import DOWN, UP, Tensor, basis_vector
@@ -123,19 +123,16 @@ def is_flat_family(alg: FrameAlgebra, family: Connection) -> bool:
     return curvature(alg, family).is_zero()
 
 
-def _automorphism_rows(alg: FrameAlgebra, conn: Connection) -> list[list[Fraction]]:
+def _automorphism_rows(geometry: Geometry) -> list[list[Fraction]]:
     """Rows of the linear map X (by frame components) to L_X nabla."""
+    alg, conn = geometry.alg, geometry.conn
     if not conn.is_rational():
         raise ParameterError(
             "automorphism solving needs a rational connection; substitute the parameter first"
         )
-    from .connections import first_torsion_violation
-
-    pair = first_torsion_violation(alg, conn)
-    if pair is not None:
-        raise PreconditionError(f"torsion nonzero at {pair}")
+    geometry.require_torsion_free()
     dim = alg.dim
-    riem = curvature(alg, conn)
+    riem = geometry.curvature
     columns = []
     for a in range(1, dim + 1):
         lx = _lie_derivative_given_curvature(alg, conn, basis_vector(dim, a), riem)
@@ -148,11 +145,15 @@ def _automorphism_rows(alg: FrameAlgebra, conn: Connection) -> list[list[Fractio
     return rows
 
 
-def automorphism_space(alg: FrameAlgebra, conn: Connection) -> Subspace:
-    """Invariant fields X with L_X nabla = 0, as a canonical subspace."""
-    rows = _automorphism_rows(alg, conn)
-    basis = linalg.nullspace(rows, alg.dim)
-    return Subspace.from_vectors(alg.dim, basis)
+def automorphism_space(
+    alg: FrameAlgebra, conn: Connection, geometry: Geometry | None = None
+) -> Subspace:
+    """Invariant fields X with L_X nabla = 0, as a canonical subspace.
+
+    ``geometry``, when given, supplies the torsion verdict and curvature.
+    """
+    rows = _automorphism_rows(_geometry_for(alg, conn, None, geometry))
+    return Subspace.from_vectors(alg.dim, linalg.nullspace(rows, alg.dim))
 
 
 def _symplectic_field_rows(alg: FrameAlgebra, omega: SymplecticForm) -> list[list[Fraction]]:
@@ -194,10 +195,10 @@ def find_non_symplectic_automorphisms(
 ) -> NonSymplecticReport:
     """Compare dim(aut) with dim(aut intersect symplectic); produce a witness
     automorphism with non-closed dual one-form when the dimensions differ."""
-    aut_rows = _automorphism_rows(alg, conn)
+    aut_rows = _automorphism_rows(Geometry(alg, omega, conn))
     sym_rows = _symplectic_field_rows(alg, omega)
     joint = linalg.nullspace(aut_rows + sym_rows, alg.dim)
-    aut = automorphism_space(alg, conn)
+    aut = Subspace.from_vectors(alg.dim, linalg.nullspace(aut_rows, alg.dim))
     witness = None
     if len(joint) < aut.dim:
         for v in aut.basis:

@@ -12,6 +12,9 @@ Literal grammar (ASCII, whitespace forbidden)::
     rational := ['-'] uint ('/' uint)?
     param    := lowercase identifier
 
+An exponent above :data:`MAX_DEGREE` is a parse error, so a literal can
+never ask for a power that takes unbounded time to substitute.
+
 Examples: ``-1/3``, ``-b+2/3``, ``b^2``, ``5/7*b^3``.  Rendering is
 canonical (terms by descending degree, coefficients in lowest terms), and
 ``parse_scalar(render) == identity``.
@@ -28,6 +31,9 @@ RationalLike = Union[int, Fraction]
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+
+MAX_DEGREE = 1000
+"""Largest exponent a scalar literal may write."""
 
 
 def _join_params(a: str | None, b: str | None) -> str | None:
@@ -65,7 +71,7 @@ class Scalar:
 
     @classmethod
     def rational(cls, value: RationalLike) -> "Scalar":
-        f = Fraction(value)
+        f = value if type(value) is Fraction else Fraction(value)
         return cls(((0, f),) if f else (), None)
 
     @classmethod
@@ -370,7 +376,11 @@ def _parse_term(sc: _Scanner) -> tuple[int, Fraction, str | None]:
 def _parse_exponent(sc: _Scanner) -> int:
     if sc.peek() == "^":
         sc.pos += 1
-        return sc.uint()
+        start = sc.pos
+        deg = sc.uint()
+        if deg > MAX_DEGREE:
+            raise ScalarParseError(f"exponent above the maximum degree {MAX_DEGREE}", start)
+        return deg
     return 1
 
 

@@ -144,6 +144,27 @@ def test_verify_non_ascii_or_overlong_literal_exits_1(tmp_path, capsys, literal)
     assert "offset" in capsys.readouterr().err
 
 
+def test_verify_huge_exponent_exits_1_quickly(tmp_path, capsys):
+    import time
+
+    bad = tmp_path / "bad.spec"
+    bad.write_text(
+        json.dumps(
+            {
+                "dim": 2,
+                "parameter": "b",
+                "omega": [{"i": 1, "j": 2, "v": "1"}],
+                "connection": [],
+                "vectors": {"V": ["b^100000000", "0"]},
+            }
+        )
+    )
+    start = time.perf_counter()
+    assert main(["verify", str(bad), "--vector", "V", "--beta", "3"]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert "maximum degree" in capsys.readouterr().err
+
+
 def test_verify_semantic_violation_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.spec"
     bad.write_text(

@@ -105,6 +105,78 @@ def test_pfaffian_squares_to_determinant():
         assert pfaffian(m) ** 2 == det_cofactor(m)
 
 
+def pfaffian_cofactor(m):
+    """Reference: expansion along the first row, (n-1)!! terms."""
+
+    def rec(idx):
+        if not idx:
+            return F(1)
+        total, sign = F(0), 1
+        for j in idx[1:]:
+            if m[idx[0]][j]:
+                total += sign * m[idx[0]][j] * rec([x for x in idx if x not in (idx[0], j)])
+            sign = -sign
+        return total
+
+    return rec(list(range(len(m)))) if len(m) % 2 == 0 else F(0)
+
+
+@st.composite
+def skew_matrices(draw):
+    n = draw(st.integers(min_value=0, max_value=8))
+    m = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = draw(st.sampled_from([F(0), F(0), F(1), F(-2), F(1, 3), F(-3, 2)]))
+            m[i][j], m[j][i] = v, -v
+    return m
+
+
+@settings(max_examples=150, deadline=None)
+@given(skew_matrices())
+def test_pfaffian_matches_cofactor_expansion(m):
+    assert pfaffian(m) == pfaffian_cofactor(m)
+
+
+def test_pfaffian_20x20_congruent_darboux_form_is_fast():
+    """Pf(M D M^T) = det(M) Pf(D) for a block Darboux form D with seeded
+    entries and M a seeded permuted triangular matrix."""
+    import time
+
+    rng = random.Random(20)
+    n = 20
+    blocks = [F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4)) for _ in range(n // 2)]
+    d = [[F(0)] * n for _ in range(n)]
+    for k, a in enumerate(blocks):
+        d[2 * k][2 * k + 1], d[2 * k + 1][2 * k] = a, -a
+    diag = [F(rng.choice([-2, -1, 1, 3]), rng.randint(1, 3)) for _ in range(n)]
+    tri = [
+        [diag[i] if i == j else F(rng.randint(-2, 2)) if j < i else F(0) for j in range(n)]
+        for i in range(n)
+    ]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    mat = [tri[perm[i]] for i in range(n)]
+    sign = 1
+    seen = set()
+    for start in range(n):  # parity of the permutation from its cycles
+        length = 0
+        while start not in seen:
+            seen.add(start)
+            start = perm[start]
+            length += 1
+        if length and length % 2 == 0:
+            sign = -sign
+    md = [[sum((mat[i][p] * d[p][q] for p in range(n)), F(0)) for q in range(n)] for i in range(n)]
+    a = [[sum((md[i][q] * mat[j][q] for q in range(n)), F(0)) for j in range(n)] for i in range(n)]
+    expected = sign
+    for x in diag + blocks:
+        expected *= x
+    start = time.perf_counter()
+    assert pfaffian(a) == expected
+    assert time.perf_counter() - start < 1.0
+
+
 def _sparse(rows):
     return [{c: F(v) for c, v in row.items()} for row in rows]
 

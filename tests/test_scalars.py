@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framecalc.errors import ParameterError, ScalarParseError
-from framecalc.scalars import Scalar, parse_scalar
+from framecalc.scalars import MAX_DEGREE, Scalar, parse_scalar
 
 F = Fraction
 
@@ -84,6 +84,35 @@ def test_parse_overlong_integer_literal(text, offset):
         parse_scalar(text)
     assert err.value.offset == offset
     assert "5000 digits" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text, offset",
+    [(f"b^{MAX_DEGREE + 1}", 2), ("b^100000000", 2), ("1-3*b^100000000", 6), ("-b^1001+1", 3)],
+)
+def test_parse_exponent_above_max_degree(text, offset):
+    with pytest.raises(ScalarParseError) as err:
+        parse_scalar(text)
+    assert err.value.offset == offset
+    assert f"maximum degree {MAX_DEGREE}" in str(err.value)
+
+
+def test_parse_exponent_at_max_degree():
+    s = parse_scalar(f"b^{MAX_DEGREE}")
+    assert s.degree == MAX_DEGREE
+    assert parse_scalar(s.render()) == s
+
+
+@pytest.mark.parametrize(
+    "forms", [(0, F(0), False), (1, F(1), True), (-7, F(-7)), (F(3, 4),)], ids=str
+)
+def test_rational_constructor_agrees_across_input_types(forms):
+    scalars = [Scalar.rational(v) for v in forms]
+    expected = ((0, F(forms[0])),) if forms[0] else ()
+    for s in scalars:
+        assert s == scalars[0]
+        assert s.coeffs == expected
+        assert all(type(c) is F for _, c in s.coeffs)
 
 
 def test_parse_zero_denominator():
