@@ -16,6 +16,15 @@ The chain's functions take it as an optional ``geometry`` argument and
 build a fresh one when none is given.  Every ``ConventionFault``
 cross-check still runs, once per vector field.
 
+The form powers are kept as increasing-tuple components (see
+:mod:`framecalc.frames`), and the wedge identity
+d(X-flat) ^ Omega_{n-1} = div(X) Omega_n is checked by one helper,
+``_wedge_identity_holds``, which compares the nonzero components of both
+sides; no dense top-degree form is built.  Each endomorphism of a report
+builds its list of powers endo, endo^2, .. once (up to endo^dim or the
+first zero power), and the trace powers, the nilpotency index, the
+null-space filtration and the top image all read from it.
+
 The holonomy closure stops early when the span fills sp(omega).  For a
 connection with nabla omega = 0, every curvature endomorphism R(X, Y) is
 omega-skew; covariant derivatives of omega-skew endomorphisms and brackets
@@ -56,12 +65,22 @@ from .frames import (
     SymplecticForm,
     ce_differential,
     musical_flat,
-    omega_power,
     raise_index,
-    wedge,
+    _omega_powers,
+    _wedge_components,
 )
 from .scalars import Scalar
-from .tensors import DOWN, UP, Tensor, basis_vector, identity_endomorphism
+from .tensors import (
+    DOWN,
+    UP,
+    Tensor,
+    antisymmetric_components,
+    basis_vector,
+    identity_endomorphism,
+    _from_offsets,
+    _matrix_rows,
+    _slot_apply,
+)
 
 _ZERO = Scalar.zero()
 _F0 = Fraction(0)
@@ -117,10 +136,10 @@ class Geometry:
         return curvature(self.alg, self.conn, torsion_free=self.torsion_violation is None)
 
     @cached_property
-    def top_omega_powers(self) -> tuple[Tensor, Tensor]:
-        """(Omega_{n-1}, Omega_n) for dim = 2n."""
-        n = self.omega.dim // 2
-        return omega_power(self.omega, n - 1), omega_power(self.omega, n)
+    def top_omega_powers(self) -> tuple[dict, dict]:
+        """(Omega_{n-1}, Omega_n) for dim = 2n, as increasing-tuple components."""
+        powers = _omega_powers(self.omega, self.omega.dim // 2)
+        return powers[-2], powers[-1]
 
     @cached_property
     def holonomy(self) -> list[Tensor]:
@@ -131,6 +150,15 @@ def _geometry_for(alg, conn, omega, geometry) -> Geometry:
     if geometry is None:
         return Geometry(alg, omega, conn)
     return geometry.for_model(alg, conn, omega)
+
+
+def _wedge_identity_holds(geometry: Geometry, d_flat: Tensor, div: Scalar) -> bool:
+    """d(X-flat) ^ Omega_{n-1} == div(X) Omega_n, compared on the nonzero
+    increasing-tuple components of both sides."""
+    omega_rest, omega_top = geometry.top_omega_powers
+    lhs = _wedge_components(antisymmetric_components(d_flat), omega_rest)
+    # Omega_n has no zero component and Q[b] has no zero divisors
+    return lhs == ({idx: v * div for idx, v in omega_top.items()} if div else {})
 
 
 # -- rational subspaces -------------------------------------------------------
@@ -213,19 +241,7 @@ def compose(a: Tensor, b: Tensor) -> Tensor:
     _require_endo(b)
     if a.dim != b.dim:
         raise ShapeError("endomorphism dimensions must agree")
-    dim = a.dim
-    comps = []
-    for i in range(1, dim + 1):
-        for k in range(1, dim + 1):
-            total = _ZERO
-            for p in range(1, dim + 1):
-                ap = a[(i, p)]
-                if ap:
-                    bp = b[(p, k)]
-                    if bp:
-                        total = total + ap * bp
-            comps.append(total)
-    return Tensor(dim, (DOWN, UP), tuple(comps))
+    return _from_offsets(a.dim, (DOWN, UP), _slot_apply(a, 1, _matrix_rows(b), {}))
 
 
 def endo_power(a: Tensor, k: int) -> Tensor:
@@ -248,18 +264,7 @@ def apply_endo(a: Tensor, x: Tensor) -> Tensor:
     _require_endo(a)
     if x.valence != (UP,) or x.dim != a.dim:
         raise ShapeError("apply_endo takes a vector of the endomorphism's dimension")
-    dim = a.dim
-    comps = []
-    for k in range(1, dim + 1):
-        total = _ZERO
-        for i in range(1, dim + 1):
-            xi = x[(i,)]
-            if xi:
-                ak = a[(i, k)]
-                if ak:
-                    total = total + xi * ak
-        comps.append(total)
-    return Tensor(dim, (UP,), tuple(comps))
+    return _from_offsets(a.dim, (UP,), _slot_apply(x, 0, _matrix_rows(a), {}))
 
 
 def commutator(a: Tensor, b: Tensor) -> Tensor:
@@ -272,10 +277,9 @@ def _require_endo(a: Tensor):
 
 
 def _endo_matrix(a: Tensor) -> list[list[Fraction]]:
+    dim = a.dim
     try:
-        return [
-            [a[(i, k)].as_fraction() for k in range(1, a.dim + 1)] for i in range(1, a.dim + 1)
-        ]
+        return [[c.as_fraction() for c in a.comps[i : i + dim]] for i in range(0, dim * dim, dim)]
     except ParameterError as exc:
         raise ParameterError(
             "endomorphism analysis needs rational components; substitute the parameter first"
@@ -305,19 +309,10 @@ def musical_endomorphism(
     route_one = _raise_last(d_flat, omega)
 
     grad_x = covariant_derivative(alg, conn, x)
-    dim = alg.dim
-    comps = []
-    for i in range(1, dim + 1):
-        for j in range(1, dim + 1):
-            second = _ZERO
-            for p in range(1, dim + 1):
-                w = omega.upper[(j, p)]
-                if w:
-                    g = grad_flat[(p, i)]
-                    if g:
-                        second = second + w * g
-            comps.append(grad_x[(i, j)] - second)
-    route_two = Tensor(dim, (DOWN, UP), tuple(comps))
+    # second[j, i] = Omega^{jp} nabla_p X_i: the first slot of grad_flat raised
+    raised = _matrix_rows(omega.upper, transpose=True)
+    second = _from_offsets(alg.dim, (UP, DOWN), _slot_apply(grad_flat, 0, raised, {}))
+    route_two = grad_x - second.swap_slots(0, 1)
     if route_one != route_two:
         raise ConventionFault("musical endomorphism routes disagree")
     return route_one
@@ -327,59 +322,79 @@ def _raise_last(t: Tensor, omega: SymplecticForm) -> Tensor:
     return raise_index(t, t.rank - 1, omega)
 
 
-def trace_power(endo: Tensor, k: int) -> Scalar:
-    """Trace of the k-fold composition."""
+def _power_list(endo: Tensor) -> list[Tensor]:
+    """[endo, endo^2, ..]: up to endo^dim, or up to the first zero power."""
+    powers = [endo]
+    while len(powers) < endo.dim and not powers[-1].is_zero():
+        powers.append(compose(powers[-1], endo))
+    return powers
+
+
+def trace_power(endo: Tensor, k: int, powers: list[Tensor] | None = None) -> Scalar:
+    """Trace of the k-fold composition.
+
+    ``powers``, when given, is the list ``[endo, endo^2, ..]`` of one
+    endomorphism (up to endo^dim or its first zero power) to read from.
+    """
     if k < 1:
         raise ShapeError("trace powers take k >= 1")
+    if powers is not None:
+        if k <= len(powers):
+            return endo_trace(powers[k - 1])
+        if powers[-1].is_zero():
+            return _ZERO
     return endo_trace(endo_power(endo, k))
 
 
-def nilpotency_index(endo: Tensor) -> int | None:
-    """Least k with endo^k = 0, or None when endo^dim is still nonzero."""
+def nilpotency_index(endo: Tensor, powers: list[Tensor] | None = None) -> int | None:
+    """Least k with endo^k = 0, or None when endo^dim is still nonzero.
+
+    ``powers`` is an optional list of powers, as for :func:`trace_power`.
+    """
     _require_endo(endo)
-    power = endo
-    for k in range(1, endo.dim + 1):
-        if power.is_zero():
-            return k
-        power = compose(power, endo)
-    return None
+    if powers is None:
+        powers = _power_list(endo)
+    return len(powers) if powers[-1].is_zero() else None
 
 
-def null_filtration(endo: Tensor) -> tuple[list[Subspace], list[Subspace]]:
+def null_filtration(
+    endo: Tensor, powers: list[Tensor] | None = None
+) -> tuple[list[Subspace], list[Subspace]]:
     """Kernel and image chains of powers endo^k, k = 1 .. nilpotency bound.
 
     The bound is the nilpotency index when the endomorphism is nilpotent
-    and the ambient dimension otherwise.
+    and the ambient dimension otherwise.  ``powers`` is an optional list of
+    powers, as for :func:`trace_power`.
     """
     _require_endo(endo)
+    if powers is None:
+        powers = _power_list(endo)
     dim = endo.dim
-    bound = nilpotency_index(endo) or dim
     kernels: list[Subspace] = []
     images: list[Subspace] = []
-    power = endo
-    for _ in range(bound):
+    for power in powers:
         mat = _endo_matrix(power)
         transposed = [[mat[i][k] for i in range(dim)] for k in range(dim)]
         kernel_rows = linalg.nullspace(transposed, dim)
         kernels.append(Subspace.from_vectors(dim, kernel_rows))
         images.append(Subspace.from_vectors(dim, mat))
-        power = compose(power, endo)
     return kernels, images
 
 
-def top_image(endo: Tensor) -> Subspace:
+def top_image(endo: Tensor, powers: list[Tensor] | None = None) -> Subspace:
     """Image of the last nonzero power of a nilpotent endomorphism.
 
     For the zero endomorphism this is the zero subspace; for a
     non-nilpotent endomorphism it is the stabilized image of endo^dim.
+    ``powers`` is an optional list of powers, as for :func:`trace_power`.
     """
     _require_endo(endo)
     if endo.is_zero():
         return Subspace.zero(endo.dim)
-    nil = nilpotency_index(endo)
-    k = (nil - 1) if nil is not None else endo.dim
-    mat = _endo_matrix(endo_power(endo, k))
-    return Subspace.from_vectors(endo.dim, mat)
+    if powers is None:
+        powers = _power_list(endo)
+    last = powers[-2] if powers[-1].is_zero() else powers[-1]
+    return Subspace.from_vectors(endo.dim, _endo_matrix(last))
 
 
 # -- infinitesimal holonomy ----------------------------------------------------
@@ -453,7 +468,11 @@ def infinitesimal_holonomy(
 def _endo_slice(t: Tensor, prefix: tuple[int, ...]) -> Tensor:
     """Freeze leading indices of a (..., down, up) tensor to an endomorphism."""
     dim = t.dim
-    return Tensor.from_function(dim, (DOWN, UP), lambda q, k: t[prefix + (q, k)])
+    start = 0
+    for i in prefix:
+        start = start * dim + i - 1
+    start *= dim * dim
+    return Tensor(dim, (DOWN, UP), t.comps[start : start + dim * dim])
 
 
 def commutes_with_holonomy(endo: Tensor, generators: list[Tensor]) -> bool:
@@ -553,18 +572,18 @@ def verify_automorphism(
     is_symp = d_flat.is_zero()
     div = divergence(alg, conn, x)
     parallel = covariant_derivative(alg, conn, d_flat).is_zero()
-    omega_rest, omega_top = geo.top_omega_powers
-    wedge_ok = wedge(d_flat, omega_rest) == omega_top.scale(div)
+    wedge_ok = _wedge_identity_holds(geo, d_flat, div)
 
     endo = traces = nil = kernels = images = None
     isotropic = lagrangian = commutes = None
     if is_aut:
         endo = musical_endomorphism(alg, omega, conn, x, geometry=geo)
-        traces = tuple(trace_power(endo, k) for k in range(1, alg.dim + 1))
-        nil = nilpotency_index(endo)
-        kernels, images = null_filtration(endo)
+        powers = _power_list(endo)
+        traces = tuple(trace_power(endo, k, powers) for k in range(1, alg.dim + 1))
+        nil = nilpotency_index(endo, powers)
+        kernels, images = null_filtration(endo, powers)
         kernels, images = tuple(kernels), tuple(images)
-        top = top_image(endo)
+        top = top_image(endo, powers)
         isotropic = is_isotropic(omega, top)
         lagrangian = is_lagrangian(omega, top)
         commutes = commutes_with_holonomy(endo, geo.holonomy)

@@ -21,6 +21,7 @@ from .analysis import (
     top_image,
     trace_power,
     verify_automorphism,
+    _wedge_identity_holds,
 )
 from .connections import (
     Connection,
@@ -265,11 +266,11 @@ def example_identity_checks(beta=None) -> list[CheckResult]:
     div = divergence(alg, conn, e[1])
     record("divergence-E2", not div, f"nabla_p E2^p = {div}")
 
-    d_flat = report.d_flat
-    omega_1, omega_2 = geo.top_omega_powers
-    lhs = wedge(d_flat, omega_1)
-    rhs = omega_2.scale(div)
-    record("wedge-identity-E2", lhs == rhs, "d(E2-flat) ^ Omega_1 = (div E2) Omega_2")
+    record(
+        "wedge-identity-E2",
+        _wedge_identity_holds(geo, report.d_flat, div),
+        "d(E2-flat) ^ Omega_1 = (div E2) Omega_2",
+    )
 
     return checks
 

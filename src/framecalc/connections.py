@@ -18,14 +18,22 @@ Sign conventions:
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ConventionFault, PreconditionError, ShapeError
 from .frames import FrameAlgebra, SymplecticForm, lower_index
 from .scalars import Scalar
-from .tensors import DOWN, UP, Tensor, basis_vector, _offset
+from .tensors import (
+    DOWN,
+    UP,
+    Tensor,
+    basis_vector,
+    _from_offsets,
+    _slot_apply,
+    _slot_pair,
+)
 
 _ZERO = Scalar.zero()
 
@@ -52,6 +60,28 @@ class Connection:
     def is_rational(self) -> bool:
         return self.gamma.is_rational()
 
+    @cached_property
+    def _christoffel_rows(self):
+        """Kernel rows of nabla_{E_a} on one slot, for each frame a (0-based)
+        with a nonzero symbol: ``(down, up)``, each a list of ``(a, rows)``.
+
+        On an up slot ``rows[p]`` lists ``(k, gamma[a,p,k])``; on a down slot
+        it lists ``(j, -gamma[a,j,p])``.  Built once from the nonzero entries
+        of the (immutable) table.
+        """
+        dim = self.dim
+        down: dict[int, list] = {}
+        up: dict[int, list] = {}
+        for off, value in self.gamma._entries():
+            a, rest = divmod(off, dim * dim)
+            p, k = divmod(rest, dim)
+            if a not in up:
+                up[a] = [[] for _ in range(dim)]
+                down[a] = [[] for _ in range(dim)]
+            up[a][p].append((k, value))
+            down[a][k].append((p, -value))
+        return sorted(down.items()), sorted(up.items())
+
 
 def connection_from_entries(dim: int, entries: dict) -> Connection:
     """Sparse {(i, j, k): value} Christoffel table."""
@@ -67,23 +97,13 @@ def covariant_derivative_vector(conn: Connection, x: Tensor, y: Tensor) -> Tenso
     dim = conn.dim
     if x.valence != (UP,) or y.valence != (UP,) or x.dim != dim or y.dim != dim:
         raise ShapeError("covariant_derivative_vector takes two vectors of the connection's dim")
-    comps = []
-    g = conn.gamma
-    for k in range(1, dim + 1):
-        total = _ZERO
-        for i in range(1, dim + 1):
-            xi = x[(i,)]
-            if not xi:
-                continue
-            for j in range(1, dim + 1):
-                yj = y[(j,)]
-                if not yj:
-                    continue
-                gk = g[(i, j, k)]
-                if gk:
-                    total = total + xi * yj * gk
-        comps.append(total)
-    return Tensor(dim, (UP,), tuple(comps))
+    # nabla_{E_a} Y for the frames a that X involves, then paired with X
+    along: dict = {}
+    for a, rows in conn._christoffel_rows[1]:
+        if x.comps[a]:
+            _slot_apply(y, 0, rows, along, a * dim)
+    grad_y = _from_offsets(dim, (DOWN, UP), along)
+    return _from_offsets(dim, (UP,), _slot_pair(grad_y, 0, x.comps, {}))
 
 
 def covariant_derivative(alg: FrameAlgebra, conn: Connection, t: Tensor) -> Tensor:
@@ -91,51 +111,25 @@ def covariant_derivative(alg: FrameAlgebra, conn: Connection, t: Tensor) -> Tens
 
     (nabla T)_{i ...} = - sum over down slots gamma[i, j_s, p] T[.. p ..]
                         + sum over up slots gamma[i, p, k_s] T[.. p ..].
+
+    Each slot of T goes through the connection's per-frame kernel rows.
     """
     if alg.dim != conn.dim or t.dim != conn.dim:
         raise ShapeError("algebra, connection, and tensor dimensions must agree")
-    dim = conn.dim
-    g = conn.gamma
-    rank = t.rank
-    comps = []
-    src = [0] * rank
-    for idx in itertools.product(range(1, dim + 1), repeat=rank + 1):
-        a = idx[0]
-        rest = idx[1:]
-        total = _ZERO
-        for s in range(rank):
-            src[:] = rest
-            if t.valence[s] == DOWN:
-                for p in range(1, dim + 1):
-                    gp = g[(a, rest[s], p)]
-                    if gp:
-                        src[s] = p
-                        term = t.comps[_offset(dim, src)]
-                        if term:
-                            total = total - gp * term
-            else:
-                for p in range(1, dim + 1):
-                    gp = g[(a, p, rest[s])]
-                    if gp:
-                        src[s] = p
-                        term = t.comps[_offset(dim, src)]
-                        if term:
-                            total = total + gp * term
-        comps.append(total)
-    return Tensor(dim, (DOWN,) + t.valence, tuple(comps))
+    down, up = conn._christoffel_rows
+    size = conn.dim**t.rank
+    acc: dict = {}
+    for s, variance in enumerate(t.valence):
+        for a, rows in down if variance == DOWN else up:
+            _slot_apply(t, s, rows, acc, a * size)
+    return _from_offsets(conn.dim, (DOWN,) + t.valence, acc)
 
 
 def torsion(alg: FrameAlgebra, conn: Connection) -> Tensor:
     """T[i,j,k] = gamma[i,j,k] - gamma[j,i,k] - c[i,j,k]."""
     if alg.dim != conn.dim:
         raise ShapeError("algebra and connection dimensions must agree")
-    dim = alg.dim
-    g = conn.gamma
-    return Tensor.from_function(
-        dim,
-        (DOWN, DOWN, UP),
-        lambda i, j, k: g[(i, j, k)] - g[(j, i, k)] - alg.c[(i, j, k)],
-    )
+    return conn.gamma - conn.gamma.swap_slots(0, 1) - alg.c
 
 
 def is_torsion_free(alg: FrameAlgebra, conn: Connection) -> bool:
@@ -144,12 +138,11 @@ def is_torsion_free(alg: FrameAlgebra, conn: Connection) -> bool:
 
 def first_torsion_violation(alg: FrameAlgebra, conn: Connection):
     """First (i, j) pair with i < j carrying nonzero torsion, or None."""
-    t = torsion(alg, conn)
-    for i in range(1, alg.dim + 1):
-        for j in range(i + 1, alg.dim + 1):
-            for k in range(1, alg.dim + 1):
-                if t[(i, j, k)]:
-                    return (i, j)
+    dim = alg.dim
+    for off, _ in torsion(alg, conn)._entries():  # storage order is (i, j, k) order
+        i, j = divmod(off // dim, dim)
+        if i < j:
+            return (i + 1, j + 1)
     return None
 
 
@@ -199,32 +192,35 @@ def curvature(alg: FrameAlgebra, conn: Connection, *, torsion_free: bool | None 
         )
     dim = alg.dim
     g = conn.gamma
-    comps = []
-    for i, j, q, k in itertools.product(range(1, dim + 1), repeat=4):
+    square, cube = dim * dim, dim**3
+    # prod[i, j, q, k] = sum_p gamma[i,p,k] gamma[j,q,p]
+    prod: dict = {}
+    for i, rows in conn._christoffel_rows[1]:
+        _slot_apply(g, 2, rows, prod, i * cube)
+    # upper[i, j, q, k] for i < j: prod[i,j,q,k] - prod[j,i,q,k] - c[i,j,p] gamma[p,q,k]
+    upper: dict = {}
+    for off, value in prod.items():
+        i, rest = divmod(off, cube)
+        j = rest // square
         if i == j:
-            comps.append(_ZERO)
             continue
         if i > j:
-            comps.append(-comps[_offset(dim, (j, i, q, k))])
-            continue
-        total = _ZERO
-        for p in range(1, dim + 1):
-            gjq = g[(j, q, p)]
-            if gjq:
-                gip = g[(i, p, k)]
-                if gip:
-                    total = total + gip * gjq
-            giq = g[(i, q, p)]
-            if giq:
-                gjp = g[(j, p, k)]
-                if gjp:
-                    total = total - gjp * giq
-            cij = alg.c[(i, j, p)]
-            if cij:
-                gpq = g[(p, q, k)]
-                if gpq:
-                    total = total - cij * gpq
-        comps.append(total)
+            off, value = (j * dim + i) * square + rest % square, -value
+        prev = upper.get(off)
+        upper[off] = value if prev is None else prev + value
+    c = alg.c.comps
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            start = (i * dim + j) * dim
+            minus_c = [-v for v in c[start : start + dim]]
+            if any(minus_c):
+                _slot_pair(g, 0, minus_c, upper, start * dim)
+    comps = [_ZERO] * dim**4
+    for off, value in upper.items():
+        i, rest = divmod(off, cube)
+        j, qk = divmod(rest, square)
+        comps[off] = value
+        comps[(j * dim + i) * square + qk] = -value
     return Tensor(dim, (DOWN, DOWN, DOWN, UP), tuple(comps))
 
 
@@ -247,58 +243,55 @@ def lie_derivative_connection(
     else:
         geometry.for_model(alg, conn).require_torsion_free()
         riem = geometry.curvature
-    a = _lie_derivative_given_curvature(alg, conn, x, riem)
+    xr = _curvature_along(riem, x)
+    a = _lie_derivative_given_curvature(alg, conn, x, riem, xr)
 
     dim = alg.dim
     frames = [basis_vector(dim, i) for i in range(1, dim + 1)]
+    along_x = [covariant_derivative_vector(conn, ej, x) for ej in frames]
     for i in range(1, dim + 1):
         ei = frames[i - 1]
         for j in range(1, dim + 1):
             ej = frames[j - 1]
-            t1 = covariant_derivative_vector(conn, ei, covariant_derivative_vector(conn, ej, x))
+            t1 = covariant_derivative_vector(conn, ei, along_x[j - 1])
             t2 = covariant_derivative_vector(conn, covariant_derivative_vector(conn, ei, ej), x)
+            base = ((i - 1) * dim + (j - 1)) * dim
             for k in range(1, dim + 1):
-                rx = _ZERO
-                for p in range(1, dim + 1):
-                    xp = x[(p,)]
-                    if xp:
-                        rk = riem[(p, i, j, k)]
-                        if rk:
-                            rx = rx + xp * rk
-                b_val = t1[(k,)] - t2[(k,)] + rx
-                if b_val != a[(i, j, k)]:
+                b_val = t1.comps[k - 1] - t2.comps[k - 1] + xr.comps[base + k - 1]
+                if b_val != a.comps[base + k - 1]:
                     raise ConventionFault(
                         f"Lie derivative routes disagree at ({i},{j},{k}): "
-                        f"{a[(i, j, k)]} vs {b_val}"
+                        f"{a.comps[base + k - 1]} vs {b_val}"
                     )
-    for i in range(1, dim + 1):
-        for j in range(i + 1, dim + 1):
-            for k in range(1, dim + 1):
-                if a[(i, j, k)] != a[(j, i, k)]:
-                    raise ConventionFault(
-                        f"Lie derivative of a torsion-free connection must be "
-                        f"symmetric; broken at ({i},{j},{k})"
-                    )
+    swapped = a.swap_slots(0, 1)
+    if swapped != a:
+        # the first mismatch in storage order has i < j
+        off = next(o for o, (u, v) in enumerate(zip(a.comps, swapped.comps)) if u != v)
+        i, rest = divmod(off, dim * dim)
+        j, k = divmod(rest, dim)
+        raise ConventionFault(
+            f"Lie derivative of a torsion-free connection must be "
+            f"symmetric; broken at ({i + 1},{j + 1},{k + 1})"
+        )
     return a
 
 
+def _curvature_along(riem: Tensor, x: Tensor) -> Tensor:
+    """(X . R)[i,j,k] = X^p R[p,i,j,k], the curvature term of L_X nabla."""
+    if x.dim != riem.dim:
+        raise ShapeError("algebra, connection, and tensor dimensions must agree")
+    return _from_offsets(x.dim, (DOWN, DOWN, UP), _slot_pair(riem, 0, x.comps, {}))
+
+
 def _lie_derivative_given_curvature(
-    alg: FrameAlgebra, conn: Connection, x: Tensor, riem: Tensor
+    alg: FrameAlgebra, conn: Connection, x: Tensor, riem: Tensor, xr: Tensor | None = None
 ) -> Tensor:
-    """Index-formula route, reusing a precomputed curvature tensor."""
+    """Index-formula route, reusing a precomputed curvature tensor and, when
+    given, the X . R term."""
     ddx = covariant_derivative(alg, conn, covariant_derivative(alg, conn, x))
-    dim = alg.dim
-    comps = []
-    for i, j, k in itertools.product(range(1, dim + 1), repeat=3):
-        total = ddx[(i, j, k)]
-        for p in range(1, dim + 1):
-            xp = x[(p,)]
-            if xp:
-                rk = riem[(p, i, j, k)]
-                if rk:
-                    total = total + xp * rk
-        comps.append(total)
-    return Tensor(dim, (DOWN, DOWN, UP), tuple(comps))
+    if xr is None:
+        xr = _curvature_along(riem, x)
+    return ddx + xr
 
 
 def lower_lie_derivative(lxnabla: Tensor, omega: SymplecticForm) -> Tensor:
@@ -313,13 +306,9 @@ def divergence(alg: FrameAlgebra, conn: Connection, x: Tensor) -> Scalar:
     if alg.dim != conn.dim or x.dim != conn.dim:
         raise ShapeError("algebra, connection, and vector dimensions must agree")
     total = _ZERO
-    g = conn.gamma
-    for q in range(1, conn.dim + 1):
-        xq = x[(q,)]
-        if not xq:
-            continue
-        for p in range(1, conn.dim + 1):
-            gp = g[(p, q, p)]
-            if gp:
-                total = total + gp * xq
+    dim = conn.dim
+    for off, value in _slot_pair(conn.gamma, 1, x.comps, {}).items():
+        p, k = divmod(off, dim)
+        if p == k:
+            total = total + value
     return total

@@ -15,6 +15,16 @@ Index conventions:
   alpha([E_ip, E_iq], ..remaining..);
 * the wedge product is normalized so that
   (alpha ^ beta)_{ij} = alpha_i beta_j - alpha_j beta_i in degree (1, 1).
+
+A k-form is determined by its components on increasing index tuples
+i_1 < .. < i_k, C(dim, k) of them, while the dense tensor stores dim**k.
+The exterior algebra works on that basis: ``_wedge_components`` multiplies
+``{increasing tuple: Scalar}`` dicts, and ``_omega_powers`` builds
+Omega_0 .. Omega_k from it without a dense top-degree tensor (Omega_n has
+one independent component and dim**dim dense ones).  The public
+:func:`wedge` and :func:`omega_power` validate their inputs and expand the
+result to a dense tensor.  Index raising, lowering and the interior
+product go through the sparse slot kernel of :mod:`framecalc.tensors`.
 """
 
 from __future__ import annotations
@@ -34,8 +44,11 @@ from .tensors import (
     antisymmetric_from_components,
     increasing_tuples,
     is_antisymmetric,
-    _factorial,
-    _offset,
+    _bilinear,
+    _from_offsets,
+    _matrix_rows,
+    _slot_apply,
+    _slot_pair,
 )
 
 _ZERO = Scalar.zero()
@@ -115,23 +128,7 @@ def bracket(alg: FrameAlgebra, x: Tensor, y: Tensor) -> Tensor:
     """[X, Y]^k = X^i Y^j c[i,j,k]."""
     _require_vector(alg, x)
     _require_vector(alg, y)
-    dim = alg.dim
-    comps = []
-    for k in range(1, dim + 1):
-        total = _ZERO
-        for i in range(1, dim + 1):
-            xi = x[(i,)]
-            if not xi:
-                continue
-            for j in range(1, dim + 1):
-                yj = y[(j,)]
-                if not yj:
-                    continue
-                cij = alg.c[(i, j, k)]
-                if cij:
-                    total = total + xi * yj * cij
-        comps.append(total)
-    return Tensor(dim, (UP,), tuple(comps))
+    return _bilinear(alg.c, x, y)
 
 
 def _require_vector(alg: FrameAlgebra, x: Tensor):
@@ -187,16 +184,9 @@ class SymplecticForm:
 
     def pairing(self, x: Tensor, y: Tensor) -> Scalar:
         """Omega(X, Y) = X^i Y^j Omega_{ij}."""
-        total = _ZERO
-        for i in range(1, self.dim + 1):
-            xi = x[(i,)]
-            if not xi:
-                continue
-            for j in range(1, self.dim + 1):
-                w = self.lower[(i, j)]
-                if w:
-                    total = total + xi * y[(j,)] * w
-        return total
+        if x.dim != self.dim or y.dim != self.dim:
+            raise ShapeError(f"the form pairs dim-{self.dim} vectors")
+        return _bilinear(self.lower, x, y).comps[0]
 
     def __eq__(self, other):
         if not isinstance(other, SymplecticForm):
@@ -219,47 +209,22 @@ def symplectic_form(dim: int, entries: dict) -> SymplecticForm:
 
 def lower_index(t: Tensor, slot: int, omega: SymplecticForm) -> Tensor:
     """Lower one up slot: X_i = X^p Omega_{pi}, slot position preserved."""
-    _check_slot(t, slot, UP)
-    dim = t.dim
+    _check_slot(t, slot, UP, omega)
     valence = t.valence[:slot] + (DOWN,) + t.valence[slot + 1 :]
-    comps = []
-    for idx in itertools.product(range(1, dim + 1), repeat=t.rank):
-        total = _ZERO
-        i = idx[slot]
-        src = list(idx)
-        for p in range(1, dim + 1):
-            w = omega.lower[(p, i)]
-            if w:
-                src[slot] = p
-                term = t.comps[_offset(dim, src)]
-                if term:
-                    total = total + term * w
-        comps.append(total)
-    return Tensor(dim, valence, tuple(comps))
+    return _from_offsets(t.dim, valence, _slot_apply(t, slot, _matrix_rows(omega.lower), {}))
 
 
 def raise_index(t: Tensor, slot: int, omega: SymplecticForm) -> Tensor:
     """Raise one down slot: X^i = Omega^{ip} X_p, slot position preserved."""
-    _check_slot(t, slot, DOWN)
-    dim = t.dim
+    _check_slot(t, slot, DOWN, omega)
     valence = t.valence[:slot] + (UP,) + t.valence[slot + 1 :]
-    comps = []
-    for idx in itertools.product(range(1, dim + 1), repeat=t.rank):
-        total = _ZERO
-        i = idx[slot]
-        src = list(idx)
-        for p in range(1, dim + 1):
-            w = omega.upper[(i, p)]
-            if w:
-                src[slot] = p
-                term = t.comps[_offset(dim, src)]
-                if term:
-                    total = total + term * w
-        comps.append(total)
-    return Tensor(dim, valence, tuple(comps))
+    rows = _matrix_rows(omega.upper, transpose=True)
+    return _from_offsets(t.dim, valence, _slot_apply(t, slot, rows, {}))
 
 
-def _check_slot(t: Tensor, slot: int, variance: str):
+def _check_slot(t: Tensor, slot: int, variance: str, omega: SymplecticForm):
+    if t.dim != omega.dim:
+        raise ShapeError(f"tensor dimension {t.dim} does not match the form's {omega.dim}")
     if not 0 <= slot < t.rank:
         raise ShapeError(f"slot {slot} out of range for rank {t.rank}")
     if t.valence[slot] != variance:
@@ -318,6 +283,29 @@ def ce_differential(alg: FrameAlgebra, alpha: Tensor) -> Tensor:
     return antisymmetric_from_components(dim, k + 1, (DOWN,) * (k + 1), parts)
 
 
+def _wedge_components(alpha: dict, beta: dict) -> dict:
+    """Wedge of two forms given by their nonzero increasing-tuple components.
+
+    Returns the nonzero components of the product, keyed the same way.
+    Performs no validation; :func:`wedge` is the checked dense entry point.
+    """
+    parts: dict[tuple[int, ...], Scalar] = {}
+    for ja, va in alpha.items():
+        sa = set(ja)
+        for jb, vb in beta.items():
+            if sa.intersection(jb):
+                continue
+            merged = tuple(sorted(ja + jb))
+            # parity of merging two increasing runs
+            inversions = sum(1 for a in ja for b in jb if b < a)
+            term = va * vb
+            if inversions % 2:
+                term = -term
+            prev = parts.get(merged)
+            parts[merged] = term if prev is None else prev + term
+    return {k: v for k, v in parts.items() if v}
+
+
 def wedge(alpha: Tensor, beta: Tensor) -> Tensor:
     """Graded-commutative wedge, determinant normalization.
 
@@ -335,34 +323,28 @@ def wedge(alpha: Tensor, beta: Tensor) -> Tensor:
         return beta.scale(alpha[()])
     if q == 0:
         return alpha.scale(beta[()])
-    parts: dict[tuple[int, ...], Scalar] = {}
-    for ja, va in antisymmetric_components(alpha).items():
-        sa = set(ja)
-        for jb, vb in antisymmetric_components(beta).items():
-            if sa & set(jb):
-                continue
-            merged = tuple(sorted(ja + jb))
-            # parity of merging two increasing runs
-            inversions = sum(1 for a in ja for b in jb if b < a)
-            term = va * vb
-            if inversions % 2:
-                term = -term
-            prev = parts.get(merged, _ZERO)
-            parts[merged] = prev + term
-    parts = {k: v for k, v in parts.items() if v}
+    parts = _wedge_components(antisymmetric_components(alpha), antisymmetric_components(beta))
     return antisymmetric_from_components(dim, p + q, (DOWN,) * (p + q), parts)
+
+
+def _omega_powers(omega: SymplecticForm, k: int) -> list[dict]:
+    """[Omega_0, .., Omega_k] as increasing-tuple components, with
+    Omega_j = (Omega_{j-1} ^ Omega) / j = Omega^j / j!."""
+    form = antisymmetric_components(omega.lower)
+    powers = [{(): _ONE}]
+    for j in range(1, k + 1):
+        inv = Scalar.rational(Fraction(1, j))
+        powers.append({idx: v * inv for idx, v in _wedge_components(powers[-1], form).items()})
+    return powers
 
 
 def omega_power(omega: SymplecticForm, k: int) -> Tensor:
     """The normalized power Omega_k = Omega^k / k! (Omega_0 is the unit 0-form)."""
     if k < 0 or 2 * k > omega.dim:
         raise ShapeError(f"omega power {k} out of range for dimension {omega.dim}")
-    out = Tensor(omega.dim, (), (_ONE,))
-    for _ in range(k):
-        out = wedge(out, omega.lower)
-    if k > 1:
-        out = out.scale(Fraction(1, _factorial(k)))
-    return out
+    return antisymmetric_from_components(
+        omega.dim, 2 * k, (DOWN,) * (2 * k), _omega_powers(omega, k)[k]
+    )
 
 
 def interior_product(x: Tensor, alpha: Tensor) -> Tensor:
@@ -372,19 +354,8 @@ def interior_product(x: Tensor, alpha: Tensor) -> Tensor:
     _require_form(alpha, minimum_degree=1)
     if x.dim != alpha.dim:
         raise ShapeError("interior product requires matching dimension")
-    dim = alpha.dim
     k = alpha.rank
-    comps = []
-    for idx in itertools.product(range(1, dim + 1), repeat=k - 1):
-        total = _ZERO
-        for p in range(1, dim + 1):
-            xp = x[(p,)]
-            if xp:
-                a = alpha[(p,) + idx]
-                if a:
-                    total = total + xp * a
-        comps.append(total)
-    return Tensor(dim, (DOWN,) * (k - 1), tuple(comps))
+    return _from_offsets(alpha.dim, (DOWN,) * (k - 1), _slot_pair(alpha, 0, x.comps, {}))
 
 
 def lie_derivative_form(alg: FrameAlgebra, x: Tensor, alpha: Tensor) -> Tensor:

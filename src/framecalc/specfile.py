@@ -12,9 +12,10 @@ Layout::
     }
 
 Bracket and omega entries require i < j (antisymmetric completion is
-implicit).  All values are scalar literals, never floats.  Serialization
-is canonical: entries sorted, zero entries dropped, literals re-rendered;
-parse-serialize-parse reaches a fixpoint after one round.
+implicit).  All values are scalar literals, never floats.  ``dim`` is at
+most :data:`MAX_DIM`.  Serialization is canonical: entries sorted, zero
+entries dropped, literals re-rendered; parse-serialize-parse reaches a
+fixpoint after one round.
 """
 
 from __future__ import annotations
@@ -40,6 +41,12 @@ from .frames import (
 )
 from .scalars import Scalar, parse_scalar
 from .tensors import Tensor, vector
+
+MAX_DIM = 16
+"""Largest frame dimension a spec file may declare.  Curvature has dim**4
+components and the holonomy closure works among dim**2 endomorphisms, so
+without a bound a large ``dim`` would run out of time or memory instead of
+failing at parse time."""
 
 
 @dataclass(frozen=True)
@@ -78,6 +85,8 @@ def parse_spec(text: str | bytes) -> ModelSpecDocument:
     dim = raw.get("dim")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise SpecSemanticError("dim: must be a positive integer")
+    if dim > MAX_DIM:
+        raise SpecSemanticError(f"dim: {dim} is above the maximum {MAX_DIM}")
 
     parameter = raw.get("parameter")
     if parameter is not None:

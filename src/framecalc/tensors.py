@@ -1,13 +1,30 @@
-"""Dense valence-typed tensors over exact scalars.
+"""Dense valence-typed tensors over exact scalars, and the sparse slot kernel.
 
 Conventions used throughout the package:
 
 * component indices are 1-based, matching frame fields E_1 .. E_dim;
 * slot positions passed to operations are 0-based (Python positional);
 * storage is dense row-major, ``comps[offset]`` with the last index
-  varying fastest.
+  varying fastest, so slot ``s`` of a rank-``r`` tensor moves the offset
+  by ``dim ** (r - 1 - s)`` per unit of its index.
 
 Tensors are immutable value objects; all operations return new tensors.
+A tensor keeps the list of its nonzero ``(offset, scalar)`` entries once
+it has been asked for it.
+
+Every contraction of the verdict chain (covariant derivatives, curvature,
+composition, raising and lowering, interior products) goes through one
+private kernel pair that visits only those nonzero entries and
+accumulates into a ``{offset: Scalar}`` dict:
+
+* :func:`_slot_apply` maps one slot through a sparse matrix given by rows,
+  ``rows[p] = [(j, c), ...]`` with 0-based frame indices: the entry at
+  index ``p`` in that slot adds ``c`` times itself at index ``j``;
+* :func:`_slot_pair` pairs one slot with a vector and drops the slot.
+
+:func:`_from_offsets` turns an accumulator back into a dense tensor.  The
+arithmetic is exact and :class:`Scalar` is canonical, so the order in
+which the kernel sums cannot change a value.
 """
 
 from __future__ import annotations
@@ -35,7 +52,7 @@ def _as_scalar(value) -> Scalar:
 
 
 class Tensor:
-    __slots__ = ("dim", "valence", "comps")
+    __slots__ = ("dim", "valence", "comps", "_nz")
 
     def __init__(self, dim: int, valence: tuple[str, ...], comps: tuple[Scalar, ...]):
         if dim < 1:
@@ -50,6 +67,7 @@ class Tensor:
         self.dim = dim
         self.valence = tuple(valence)
         self.comps = comps
+        self._nz = None
 
     # -- construction --------------------------------------------------------
 
@@ -87,6 +105,12 @@ class Tensor:
 
     def indices(self) -> Iterator[tuple[int, ...]]:
         return itertools.product(range(1, self.dim + 1), repeat=self.rank)
+
+    def _entries(self) -> list[tuple[int, Scalar]]:
+        """Nonzero components as (offset, scalar), in storage order; kept once built."""
+        if self._nz is None:
+            self._nz = [(off, s) for off, s in enumerate(self.comps) if s]
+        return self._nz
 
     def nonzero(self) -> list[tuple[tuple[int, ...], Scalar]]:
         return [(idx, s) for idx, s in zip(self.indices(), self.comps) if s]
@@ -204,6 +228,80 @@ def _offset(dim: int, idx) -> int:
             raise ShapeError(f"index {i} out of range 1..{dim}")
         off = off * dim + (i - 1)
     return off
+
+
+# -- the sparse slot kernel -----------------------------------------------------
+
+
+def _slot_apply(t: Tensor, slot: int, rows, acc: dict, base: int = 0) -> dict:
+    """Map one slot of ``t`` through the sparse matrix ``rows``.
+
+    For every nonzero ``t[.., p, ..]`` (``p`` at ``slot``, 0-based) and every
+    ``(j, c)`` in ``rows[p]``, adds ``c * t[.., p, ..]`` to ``acc`` at
+    ``base`` plus the offset of the index with ``p`` replaced by ``j``.
+    """
+    dim = t.dim
+    stride = dim ** (t.rank - 1 - slot)
+    for off, value in t._entries():
+        p = off // stride % dim
+        row = rows[p]
+        if not row:
+            continue
+        rest = base + off - p * stride
+        for j, c in row:
+            key = rest + j * stride
+            term = c * value
+            prev = acc.get(key)
+            acc[key] = term if prev is None else prev + term
+    return acc
+
+
+def _slot_pair(t: Tensor, slot: int, vec, acc: dict, base: int = 0) -> dict:
+    """Pair one slot of ``t`` with the components ``vec`` and drop the slot.
+
+    Adds ``vec[p] * t[.., p, ..]`` to ``acc`` at ``base`` plus the offset of
+    the remaining indices in a tensor of one rank less.
+    """
+    dim = t.dim
+    stride = dim ** (t.rank - 1 - slot)
+    block = stride * dim
+    for off, value in t._entries():
+        x = vec[off // stride % dim]
+        if not x:
+            continue
+        key = base + off // block * stride + off % stride
+        term = x * value
+        prev = acc.get(key)
+        acc[key] = term if prev is None else prev + term
+    return acc
+
+
+def _from_offsets(dim: int, valence: tuple[str, ...], acc: dict) -> Tensor:
+    """Dense tensor from a kernel accumulator; absent offsets are zero."""
+    comps = [_ZERO] * dim ** len(valence)
+    for off, value in acc.items():
+        comps[off] = value
+    return Tensor(dim, valence, tuple(comps))
+
+
+def _matrix_rows(m: Tensor, transpose: bool = False) -> list[list[tuple[int, Scalar]]]:
+    """Kernel rows of a rank-2 tensor: ``rows[p]`` lists ``(j, m[p, j])``,
+    or ``(j, m[j, p])`` when ``transpose`` is set (0-based indices)."""
+    dim = m.dim
+    rows: list[list[tuple[int, Scalar]]] = [[] for _ in range(dim)]
+    for off, value in m._entries():
+        p, j = divmod(off, dim)
+        if transpose:
+            p, j = j, p
+        rows[p].append((j, value))
+    return rows
+
+
+def _bilinear(table: Tensor, x: Tensor, y: Tensor) -> Tensor:
+    """``X^i Y^j table[i, j, ...]``: both leading slots paired away."""
+    dim = table.dim
+    first = _from_offsets(dim, table.valence[1:], _slot_pair(table, 0, x.comps, {}))
+    return _from_offsets(dim, table.valence[2:], _slot_pair(first, 0, y.comps, {}))
 
 
 def identity_endomorphism(dim: int) -> Tensor:
