@@ -174,13 +174,7 @@ def _cmd_verify(args) -> int:
 
 
 def _form_entries(t: Tensor) -> list[dict]:
-    out = []
-    for i in range(1, t.dim + 1):
-        for j in range(i + 1, t.dim + 1):
-            v = t[(i, j)]
-            if v:
-                out.append({"i": i, "j": j, "v": v.render()})
-    return out
+    return [{"i": i, "j": j, "v": v.render()} for (i, j), v in t.nonzero() if i < j]
 
 
 def _subspace_vectors(space) -> list[list[str]]:
@@ -245,16 +239,7 @@ def _print_report_human(model: str, vector: str, beta_label: str | None, rep: Au
 
 
 def _connection_entries(conn) -> list[dict]:
-    out = []
-    g = conn.gamma
-    dim = conn.dim
-    for i in range(1, dim + 1):
-        for j in range(1, dim + 1):
-            for k in range(1, dim + 1):
-                v = g[(i, j, k)]
-                if v:
-                    out.append({"i": i, "j": j, "k": k, "v": v.render()})
-    return out
+    return [{"i": i, "j": j, "k": k, "v": v.render()} for (i, j, k), v in conn.gamma.nonzero()]
 
 
 def _cmd_moduli(args) -> int:

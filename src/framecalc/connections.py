@@ -31,6 +31,7 @@ from .tensors import (
     Tensor,
     basis_vector,
     _from_offsets,
+    _kernel_rows,
     _slot_apply,
     _slot_pair,
 )
@@ -67,7 +68,8 @@ class Connection:
 
         On an up slot ``rows[p]`` lists ``(k, gamma[a,p,k])``; on a down slot
         it lists ``(j, -gamma[a,j,p])``.  Built once from the nonzero entries
-        of the (immutable) table.
+        of the (immutable) table, each paired with its integer form
+        (:func:`framecalc.tensors._kernel_rows`).
         """
         dim = self.dim
         down: dict[int, list] = {}
@@ -80,7 +82,10 @@ class Connection:
                 down[a] = [[] for _ in range(dim)]
             up[a][p].append((k, value))
             down[a][k].append((p, -value))
-        return sorted(down.items()), sorted(up.items())
+        return (
+            [(a, _kernel_rows(rows)) for a, rows in sorted(down.items())],
+            [(a, _kernel_rows(rows)) for a, rows in sorted(up.items())],
+        )
 
 
 def connection_from_entries(dim: int, entries: dict) -> Connection:

@@ -29,7 +29,6 @@ product go through the sparse slot kernel of :mod:`framecalc.tensors`.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,6 +43,7 @@ from .tensors import (
     antisymmetric_from_components,
     increasing_tuples,
     is_antisymmetric,
+    permutation_sign,
     _bilinear,
     _from_offsets,
     _matrix_rows,
@@ -87,26 +87,35 @@ def structure_constants(dim: int, entries: dict) -> Tensor:
 
 
 def algebra_violations(c: Tensor) -> list:
-    """All antisymmetry and Jacobi violations of a raw constant table."""
-    dim = c.dim
+    """All antisymmetry and Jacobi violations of a raw constant table.
+
+    Antisymmetry residuals c[i,j,k] + c[j,i,k] are checked for i <= j, and
+    the Jacobi sums
+    sum_p c[i,j,p] c[p,k,l] + c[j,k,p] c[p,i,l] + c[k,i,p] c[p,j,l] for
+    i < j < k; both are built from the nonzero constants only and listed
+    in index order.
+    """
+    entries = c.nonzero()
+    antisym = {(min(i, j), max(i, j), k) for (i, j, k), _ in entries}
     bad = []
-    for i in range(1, dim + 1):
-        for j in range(i, dim + 1):
-            for k in range(1, dim + 1):
-                residual = c[(i, j, k)] + c[(j, i, k)]
-                if residual:
-                    bad.append(("antisymmetry", (i, j, k), residual))
-    for i, j, k in itertools.combinations(range(1, dim + 1), 3):
-        for l in range(1, dim + 1):
-            total = _ZERO
-            for p in range(1, dim + 1):
-                total = total + (
-                    c[(i, j, p)] * c[(p, k, l)]
-                    + c[(j, k, p)] * c[(p, i, l)]
-                    + c[(k, i, p)] * c[(p, j, l)]
-                )
-            if total:
-                bad.append(("jacobi", (i, j, k, l), total))
+    for i, j, k in sorted(antisym):
+        residual = c[(i, j, k)] + c[(j, i, k)]
+        if residual:
+            bad.append(("antisymmetry", (i, j, k), residual))
+    by_first: dict[int, list] = {}
+    for (p, k, l), v in entries:
+        by_first.setdefault(p, []).append((k, l, v))
+    # product[a, b, k, l] = sum_p c[a,b,p] c[p,k,l]; the Jacobi sum of
+    # i < j < k collects it over the cyclic orders (a, b, k) of (i, j, k)
+    totals: dict[tuple[int, ...], Scalar] = {}
+    for (a, b, p), u in entries:
+        for k, l, v in by_first.get(p, ()):
+            if len({a, b, k}) < 3 or permutation_sign((a, b, k)) < 0:
+                continue
+            key = (*sorted((a, b, k)), l)
+            prev = totals.get(key)
+            totals[key] = u * v if prev is None else prev + u * v
+    bad += [("jacobi", key, total) for key, total in sorted(totals.items()) if total]
     return bad
 
 

@@ -18,6 +18,15 @@ never ask for a power that takes unbounded time to substitute.
 Examples: ``-1/3``, ``-b+2/3``, ``b^2``, ``5/7*b^3``.  Rendering is
 canonical (terms by descending degree, coefficients in lowest terms), and
 ``parse_scalar(render) == identity``.
+
+Ring operations take one of two paths.  When both operands of ``+``,
+``-`` or ``*`` are rational :class:`Scalar` instances (and for ``-x`` of a
+rational), the result is built directly in the canonical form ``()`` or
+``((0, f),)``.  A polynomial operand, or an ``int`` or ``Fraction``
+operand, goes through the general path: coercion, the parameter check, a
+degree table and :meth:`Scalar._make`.  Both paths give the same
+canonical coefficients, so equality, hashing and rendering do not depend
+on the path.
 """
 
 from __future__ import annotations
@@ -125,6 +134,13 @@ class Scalar:
         return NotImplemented
 
     def __add__(self, other) -> "Scalar":
+        if type(other) is Scalar and self.param is None and other.param is None:
+            if not other.coeffs:
+                return self
+            if not self.coeffs:
+                return other
+            f = self.coeffs[0][1] + other.coeffs[0][1]
+            return Scalar(((0, f),), None) if f else _ZERO
         other = Scalar._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -141,9 +157,18 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
+        if self.param is None:
+            return Scalar(((0, -self.coeffs[0][1]),), None) if self.coeffs else self
         return Scalar(tuple((d, -c) for d, c in self.coeffs), self.param)
 
     def __sub__(self, other) -> "Scalar":
+        if type(other) is Scalar and self.param is None and other.param is None:
+            if not other.coeffs:
+                return self
+            if not self.coeffs:
+                return -other
+            f = self.coeffs[0][1] - other.coeffs[0][1]
+            return Scalar(((0, f),), None) if f else _ZERO
         other = Scalar._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -156,6 +181,10 @@ class Scalar:
         return other + (-self)
 
     def __mul__(self, other) -> "Scalar":
+        if type(other) is Scalar and self.param is None and other.param is None:
+            if not self.coeffs or not other.coeffs:
+                return _ZERO
+            return Scalar(((0, self.coeffs[0][1] * other.coeffs[0][1]),), None)
         other = Scalar._coerce(other)
         if other is NotImplemented:
             return NotImplemented

@@ -248,37 +248,19 @@ def document_from_model(
     vectors: dict[str, Tensor] | None = None,
 ) -> ModelSpecDocument:
     """Export model data back to canonical document form."""
-    brackets = []
-    for i in range(1, dim + 1):
-        for j in range(i + 1, dim + 1):
-            for k in range(1, dim + 1):
-                v = algebra.c[(i, j, k)]
-                if v:
-                    brackets.append((i, j, k, v))
-    om = []
-    for i in range(1, dim + 1):
-        for j in range(i + 1, dim + 1):
-            v = omega.lower[(i, j)]
-            if v:
-                om.append((i, j, v))
+    brackets = tuple((i, j, k, v) for (i, j, k), v in algebra.c.nonzero() if i < j)
+    om = tuple((i, j, v) for (i, j), v in omega.lower.nonzero() if i < j)
     conn_entries = None
     if connection is not None:
-        conn_entries = []
-        for i in range(1, dim + 1):
-            for j in range(1, dim + 1):
-                for k in range(1, dim + 1):
-                    v = connection.gamma[(i, j, k)]
-                    if v:
-                        conn_entries.append((i, j, k, v))
-        conn_entries = tuple(conn_entries)
+        conn_entries = tuple((*idx, v) for idx, v in connection.gamma.nonzero())
     if vectors is None:
         vectors = {}
     vecs = tuple(sorted((name, tuple(t.comps)) for name, t in vectors.items()))
     return ModelSpecDocument(
         dim=dim,
         parameter=parameter,
-        brackets=tuple(brackets),
-        omega=tuple(om),
+        brackets=brackets,
+        omega=om,
         connection=conn_entries,
         vectors=vecs,
     )

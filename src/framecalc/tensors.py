@@ -25,12 +25,23 @@ accumulates into a ``{offset: Scalar}`` dict:
 :func:`_from_offsets` turns an accumulator back into a dense tensor.  The
 arithmetic is exact and :class:`Scalar` is canonical, so the order in
 which the kernel sums cannot change a value.
+
+Each kernel runs its one loop on one of two number types, chosen only by
+whether the inputs are rational.  When the tensor's nonzero entries and
+the rows (or the vector) are all rational, it multiplies and adds plain
+``int`` numerators: the tensor's entries over one positive common
+denominator (:meth:`Tensor._int_entries`, kept once per tensor) and the
+rows over theirs (:func:`_kernel_rows`, built with the rows).  It sums
+into a local ``{offset: int}`` dict and adds one reduced ``Fraction`` per
+output entry to the caller's accumulator.  Any Q[b] input runs the loop
+on ``Scalar`` values, straight into the caller's accumulator.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Iterator
 
 from .errors import ShapeError
@@ -41,6 +52,7 @@ DOWN = "down"
 
 _ZERO = Scalar.zero()
 _ONE = Scalar.one()
+_UNSET = object()
 
 
 def _as_scalar(value) -> Scalar:
@@ -52,7 +64,7 @@ def _as_scalar(value) -> Scalar:
 
 
 class Tensor:
-    __slots__ = ("dim", "valence", "comps", "_nz")
+    __slots__ = ("dim", "valence", "comps", "_nz", "_int_nz")
 
     def __init__(self, dim: int, valence: tuple[str, ...], comps: tuple[Scalar, ...]):
         if dim < 1:
@@ -68,6 +80,7 @@ class Tensor:
         self.valence = tuple(valence)
         self.comps = comps
         self._nz = None
+        self._int_nz = _UNSET
 
     # -- construction --------------------------------------------------------
 
@@ -109,11 +122,33 @@ class Tensor:
     def _entries(self) -> list[tuple[int, Scalar]]:
         """Nonzero components as (offset, scalar), in storage order; kept once built."""
         if self._nz is None:
-            self._nz = [(off, s) for off, s in enumerate(self.comps) if s]
+            self._nz = [(off, s) for off, s in enumerate(self.comps) if s.coeffs]
         return self._nz
 
+    def _int_entries(self):
+        """The nonzero entries over one denominator, ``(den, [(offset, num), ...])``
+        in storage order, or None when some entry is not rational; kept once built."""
+        if self._int_nz is _UNSET:
+            entries = self._entries()
+            form = _int_form([s for _, s in entries])
+            if form is None:
+                self._int_nz = None
+            else:
+                den, nums = form
+                self._int_nz = den, [(off, n) for (off, _), n in zip(entries, nums)]
+        return self._int_nz
+
     def nonzero(self) -> list[tuple[tuple[int, ...], Scalar]]:
-        return [(idx, s) for idx, s in zip(self.indices(), self.comps) if s]
+        """Nonzero components as (1-based index tuple, scalar), in index order."""
+        dim, rank = self.dim, self.rank
+        out = []
+        for off, s in self._entries():  # storage order is index order
+            idx = [0] * rank
+            for slot in range(rank - 1, -1, -1):
+                off, i = divmod(off, dim)
+                idx[slot] = i + 1
+            out.append((tuple(idx), s))
+        return out
 
     def is_zero(self) -> bool:
         return not any(self.comps)
@@ -233,16 +268,63 @@ def _offset(dim: int, idx) -> int:
 # -- the sparse slot kernel -----------------------------------------------------
 
 
+def _int_form(values) -> tuple[int, list[int]] | None:
+    """``(den, nums)`` with ``values[i] == nums[i] / den`` and ``den`` the least
+    common denominator, or None when some value is not rational."""
+    pairs = []
+    den = 1
+    for s in values:
+        if s.param is not None:
+            return None
+        if s.coeffs:
+            n, d = s.coeffs[0][1].as_integer_ratio()
+            if den % d:
+                den = lcm(den, d)
+            pairs.append((n, d))
+        else:
+            pairs.append((0, 1))
+    return den, [n * (den // d) for n, d in pairs]
+
+
+def _kernel_rows(rows) -> tuple:
+    """Pair sparse rows ``rows[p] = [(j, c), ...]`` with their integer form,
+    ``(den, [[(j, num), ...], ...])``, or with None when some ``c`` is not
+    rational.  :func:`_slot_apply` takes rows in this paired form."""
+    form = _int_form([c for row in rows for _, c in row])
+    if form is None:
+        return rows, None
+    den, nums = form
+    it = iter(nums)
+    return rows, (den, [[(j, next(it)) for j, _ in row] for row in rows])
+
+
+def _merge_ints(acc: dict, local: dict, den: int) -> dict:
+    """Add ``num / den`` into ``acc`` for every ``{offset: num}`` of ``local``."""
+    for key, num in local.items():
+        if num:
+            term = Scalar(((0, Fraction(num, den)),), None)  # the canonical rational form
+            prev = acc.get(key)
+            acc[key] = term if prev is None else prev + term
+    return acc
+
+
 def _slot_apply(t: Tensor, slot: int, rows, acc: dict, base: int = 0) -> dict:
     """Map one slot of ``t`` through the sparse matrix ``rows``.
 
-    For every nonzero ``t[.., p, ..]`` (``p`` at ``slot``, 0-based) and every
-    ``(j, c)`` in ``rows[p]``, adds ``c * t[.., p, ..]`` to ``acc`` at
-    ``base`` plus the offset of the index with ``p`` replaced by ``j``.
+    ``rows`` comes from :func:`_kernel_rows`.  For every nonzero
+    ``t[.., p, ..]`` (``p`` at ``slot``, 0-based) and every ``(j, c)`` in
+    ``rows[p]``, adds ``c * t[.., p, ..]`` to ``acc`` at ``base`` plus the
+    offset of the index with ``p`` replaced by ``j``.
     """
     dim = t.dim
     stride = dim ** (t.rank - 1 - slot)
-    for off, value in t._entries():
+    rows, int_rows = rows
+    int_t = None if int_rows is None else t._int_entries()
+    if int_t is None:  # the Scalar loop, straight into acc
+        entries, local = t._entries(), acc
+    else:  # the integer loop, into a local {offset: numerator}
+        (den_r, rows), (den_t, entries), local = int_rows, int_t, {}
+    for off, value in entries:
         p = off // stride % dim
         row = rows[p]
         if not row:
@@ -251,9 +333,9 @@ def _slot_apply(t: Tensor, slot: int, rows, acc: dict, base: int = 0) -> dict:
         for j, c in row:
             key = rest + j * stride
             term = c * value
-            prev = acc.get(key)
-            acc[key] = term if prev is None else prev + term
-    return acc
+            prev = local.get(key)
+            local[key] = term if prev is None else prev + term
+    return acc if int_t is None else _merge_ints(acc, local, den_t * den_r)
 
 
 def _slot_pair(t: Tensor, slot: int, vec, acc: dict, base: int = 0) -> dict:
@@ -265,15 +347,21 @@ def _slot_pair(t: Tensor, slot: int, vec, acc: dict, base: int = 0) -> dict:
     dim = t.dim
     stride = dim ** (t.rank - 1 - slot)
     block = stride * dim
-    for off, value in t._entries():
+    int_vec = _int_form(vec)
+    int_t = None if int_vec is None else t._int_entries()
+    if int_t is None:  # the Scalar loop, straight into acc
+        entries, local = t._entries(), acc
+    else:  # the integer loop, into a local {offset: numerator}
+        (den_v, vec), (den_t, entries), local = int_vec, int_t, {}
+    for off, value in entries:
         x = vec[off // stride % dim]
         if not x:
             continue
         key = base + off // block * stride + off % stride
         term = x * value
-        prev = acc.get(key)
-        acc[key] = term if prev is None else prev + term
-    return acc
+        prev = local.get(key)
+        local[key] = term if prev is None else prev + term
+    return acc if int_t is None else _merge_ints(acc, local, den_t * den_v)
 
 
 def _from_offsets(dim: int, valence: tuple[str, ...], acc: dict) -> Tensor:
@@ -284,9 +372,10 @@ def _from_offsets(dim: int, valence: tuple[str, ...], acc: dict) -> Tensor:
     return Tensor(dim, valence, tuple(comps))
 
 
-def _matrix_rows(m: Tensor, transpose: bool = False) -> list[list[tuple[int, Scalar]]]:
+def _matrix_rows(m: Tensor, transpose: bool = False) -> tuple:
     """Kernel rows of a rank-2 tensor: ``rows[p]`` lists ``(j, m[p, j])``,
-    or ``(j, m[j, p])`` when ``transpose`` is set (0-based indices)."""
+    or ``(j, m[j, p])`` when ``transpose`` is set (0-based indices); paired
+    with their integer form by :func:`_kernel_rows`."""
     dim = m.dim
     rows: list[list[tuple[int, Scalar]]] = [[] for _ in range(dim)]
     for off, value in m._entries():
@@ -294,7 +383,7 @@ def _matrix_rows(m: Tensor, transpose: bool = False) -> list[list[tuple[int, Sca
         if transpose:
             p, j = j, p
         rows[p].append((j, value))
-    return rows
+    return _kernel_rows(rows)
 
 
 def _bilinear(table: Tensor, x: Tensor, y: Tensor) -> Tensor:

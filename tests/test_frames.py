@@ -1,7 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framecalc import (
     FrameAlgebra,
@@ -21,7 +24,7 @@ from framecalc import (
     wedge,
 )
 from framecalc.errors import AlgebraError, FormError, ParameterError, ShapeError
-from framecalc.frames import SymplecticForm
+from framecalc.frames import SymplecticForm, algebra_violations
 from framecalc.scalars import Scalar
 from framecalc.tensors import (
     DOWN,
@@ -318,3 +321,63 @@ def test_lie_derivative_commutes_with_d():
             lhs = lie_derivative_form(alg, x, ce_differential(alg, alpha))
             rhs = ce_differential(alg, lie_derivative_form(alg, x, alpha))
             assert lhs == rhs
+
+
+# -- the sparse Jacobi check against the dense loop --------------------------------------------
+
+
+def dense_algebra_violations(c: Tensor) -> list:
+    """The dense check the package ran before: every index, read through
+    ``Tensor.__getitem__``."""
+    dim = c.dim
+    bad = []
+    for i in range(1, dim + 1):
+        for j in range(i, dim + 1):
+            for k in range(1, dim + 1):
+                residual = c[(i, j, k)] + c[(j, i, k)]
+                if residual:
+                    bad.append(("antisymmetry", (i, j, k), residual))
+    for i, j, k in itertools.combinations(range(1, dim + 1), 3):
+        for l in range(1, dim + 1):
+            total = Scalar.zero()
+            for p in range(1, dim + 1):
+                total = total + (
+                    c[(i, j, p)] * c[(p, k, l)]
+                    + c[(j, k, p)] * c[(p, i, l)]
+                    + c[(k, i, p)] * c[(p, j, l)]
+                )
+            if total:
+                bad.append(("jacobi", (i, j, k, l), total))
+    return bad
+
+
+@st.composite
+def constant_tables(draw):
+    """Antisymmetric tables (valid or breaking Jacobi) and raw ones that break
+    antisymmetry too, with rational or Q[b] entries."""
+    dim = draw(st.integers(1, 5))
+    b = Scalar.parameter("b")
+    value = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 2)).map(Scalar.rational)
+    if draw(st.booleans()):
+        value = st.one_of(value, value.map(lambda v: v * b))
+    cells = list(itertools.product(range(1, dim + 1), repeat=3))
+    entries = draw(st.dictionaries(st.sampled_from(cells), value, max_size=12))
+    if draw(st.booleans()):
+        entries = {(i, j, k): v for (i, j, k), v in entries.items() if i < j}
+        return structure_constants(dim, entries)
+    return Tensor.from_entries(dim, (DOWN, DOWN, UP), entries)
+
+
+@settings(max_examples=60, deadline=None)
+@given(constant_tables())
+def test_sparse_algebra_violations_match_dense_loop(c):
+    assert algebra_violations(c) == dense_algebra_violations(c)
+
+
+def test_algebra_violations_on_a_valid_and_a_broken_table():
+    kt = kodaira_thurston().algebra.c
+    assert algebra_violations(kt) == dense_algebra_violations(kt) == []
+    broken = structure_constants(3, {(1, 2, 3): 1, (1, 3, 1): 1, (2, 3, 2): 1})
+    found = algebra_violations(broken)
+    assert found == dense_algebra_violations(broken)
+    assert found and {kind for kind, _, _ in found} == {"jacobi"}

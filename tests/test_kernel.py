@@ -69,6 +69,7 @@ from framecalc.tensors import (
     antisymmetric_from_components,
     basis_vector,
     increasing_tuples,
+    _matrix_rows,
     _offset,
 )
 
@@ -272,8 +273,17 @@ def ref_divergence(conn: Connection, x: Tensor) -> Scalar:
 # -- strategies -------------------------------------------------------------------------
 
 
-def scalars(poly: bool):
+# entries with mixed denominators and numerators above 2**64, for the integer path
+WIDE_RATIONALS = st.one_of(
+    st.builds(Fraction, st.integers(-12, 12), st.sampled_from((1, 2, 3, 5, 7, 12, 35))),
+    st.builds(Fraction, st.integers(-(2**80), 2**80), st.integers(1, 2**70)),
+)
+
+
+def scalars(poly: bool, wide: bool = False):
     rational = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    if wide:
+        rational = st.one_of(rational, WIDE_RATIONALS)
     if not poly:
         return rational.map(Scalar.rational)
     return st.tuples(rational, rational, rational).map(
@@ -286,7 +296,7 @@ MAX_DIM_FOR_RANK = {0: 6, 1: 6, 2: 6, 3: 5, 4: 4}
 
 
 @st.composite
-def tensors(draw, dim=None, valence=None, poly=None):
+def tensors(draw, dim=None, valence=None, poly=None, wide=False):
     if valence is None:
         rank = draw(st.integers(0, 4))
         valence = tuple(draw(st.lists(st.sampled_from((UP, DOWN)), min_size=rank, max_size=rank)))
@@ -295,7 +305,9 @@ def tensors(draw, dim=None, valence=None, poly=None):
     if poly is None:
         poly = draw(st.booleans())
     size = dim ** len(valence)
-    entries = draw(st.dictionaries(st.integers(0, size - 1), scalars(poly), max_size=min(size, 14)))
+    entries = draw(
+        st.dictionaries(st.integers(0, size - 1), scalars(poly, wide), max_size=min(size, 14))
+    )
     comps = [_ZERO] * size
     for off, value in entries.items():
         comps[off] = value
@@ -303,8 +315,8 @@ def tensors(draw, dim=None, valence=None, poly=None):
 
 
 @st.composite
-def connections(draw, dim, poly=None):
-    return Connection(draw(tensors(dim=dim, valence=(DOWN, DOWN, UP), poly=poly)))
+def connections(draw, dim, poly=None, wide=False):
+    return Connection(draw(tensors(dim=dim, valence=(DOWN, DOWN, UP), poly=poly, wide=wide)))
 
 
 @st.composite
@@ -402,6 +414,74 @@ def test_interior_product_and_divergence_match_reference(data):
     assert interior_product(x, alpha) == ref_interior_product(x, alpha)
     conn = data.draw(connections(dim))
     assert divergence(abelian_algebra(dim), conn, x) == ref_divergence(conn, x)
+
+
+# -- the integer path of the kernel ------------------------------------------------------------
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_integer_path_matches_reference_on_wide_and_mixed_inputs(data):
+    """Rational inputs take the integer path, Q[b] inputs the Scalar loop; a
+    rational tensor with Q[b] rows, or the reverse, takes the Scalar loop."""
+    dim = data.draw(st.integers(1, 4))
+    t_poly, conn_poly, x_poly = (data.draw(st.booleans()) for _ in range(3))
+    valence = data.draw(st.sampled_from(((UP,), (DOWN, UP), (DOWN, DOWN, UP))))
+    t = data.draw(tensors(dim=dim, valence=valence, poly=t_poly, wide=True))
+    conn = data.draw(connections(dim, conn_poly, wide=True))
+    x = data.draw(tensors(dim=dim, valence=(UP,), poly=x_poly, wide=True))
+    alg = abelian_algebra(dim)
+    assert covariant_derivative(alg, conn, t) == ref_covariant_derivative(conn, t)
+    assert covariant_derivative_vector(conn, x, x) == ref_covariant_derivative_vector(conn, x, x)
+    assert divergence(alg, conn, x) == ref_divergence(conn, x)
+    c = data.draw(tensors(dim=dim, valence=(DOWN, DOWN, UP), poly=False, wide=True))
+    riem = curvature(FrameAlgebra(dim, c), conn, torsion_free=True)
+    assert riem == ref_curvature(c, conn)
+    assert _curvature_along(riem, x) == ref_curvature_along(riem, x)
+    a = data.draw(tensors(dim=dim, valence=(DOWN, UP), poly=t_poly, wide=True))
+    b = data.draw(tensors(dim=dim, valence=(DOWN, UP), poly=conn_poly, wide=True))
+    assert compose(a, b) == ref_compose(a, b)
+    assert apply_endo(b, x) == ref_apply_endo(b, x)
+
+
+def test_integer_path_sums_that_cancel_to_zero():
+    big = Fraction(2**70 + 1, 7)
+    tiny = Fraction(3, 2**66)
+    # (a o b)[i, k] = big * tiny - big * tiny
+    a = Tensor.from_entries(3, (DOWN, UP), {(i, p): big for i in (1, 2, 3) for p in (1, 2)})
+    b = Tensor.from_entries(
+        3, (DOWN, UP), {**{(1, k): tiny for k in (1, 2, 3)}, **{(2, k): -tiny for k in (1, 2, 3)}}
+    )
+    assert compose(a, b).is_zero() and ref_compose(a, b).is_zero()
+    # (iota_X alpha)_3 = q * w - q * w, with both summands nonzero
+    q = Fraction(5, 2**65)
+    alpha = antisymmetric_from_components(
+        3, 2, (DOWN, DOWN), {(1, 3): Scalar.rational(big), (2, 3): Scalar.rational(-big)}
+    )
+    x = Tensor.from_entries(3, (UP,), {(1,): q, (2,): q})
+    assert interior_product(x, alpha) == ref_interior_product(x, alpha)
+    assert interior_product(x, alpha)[(3,)] == _ZERO
+    # nabla T for a connection whose two slot terms cancel: gamma[1,1,1] T[1] - T[1] gamma[1,1,1]
+    conn = Connection(Tensor.from_entries(1, (DOWN, DOWN, UP), {(1, 1, 1): big}))
+    endo = Tensor.from_entries(1, (DOWN, UP), {(1, 1): tiny})
+    assert covariant_derivative(abelian_algebra(1), conn, endo).is_zero()
+
+
+def test_integer_forms_and_which_loop_they_select():
+    t = Tensor.from_entries(
+        3, (DOWN, UP), {(1, 2): Fraction(1, 6), (3, 1): Fraction(-(2**70), 15), (2, 2): 4}
+    )
+    den, entries = t._int_entries()
+    assert den == 30
+    assert [(off, Fraction(n, den)) for off, n in entries] == [
+        (off, s.as_fraction()) for off, s in t._entries()
+    ]
+    assert Tensor.zeros(2, (UP,))._int_entries() == (1, [])
+    poly = Tensor.from_entries(2, (UP,), {(1,): _B, (2,): Fraction(1, 3)})
+    assert poly._int_entries() is None
+    _, form = _matrix_rows(t)
+    assert form is not None and form[0] == 30
+    assert _matrix_rows(Tensor.from_entries(2, (DOWN, UP), {(1, 1): 1, (2, 1): _B}))[1] is None
 
 
 # -- the powers list of one endomorphism ------------------------------------------------------

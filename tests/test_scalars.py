@@ -190,3 +190,75 @@ def test_rational_scalars_have_no_parameter():
 def test_as_fraction_requires_rational():
     with pytest.raises(ParameterError):
         Scalar.parameter("b").as_fraction()
+
+
+# -- the rational fast path ------------------------------------------------------------
+
+wide_fractions_st = st.one_of(
+    st.just(F(0)),
+    fractions_st,
+    st.builds(F, st.integers(-(2**80), 2**80), st.integers(1, 2**70)),
+)
+
+
+def general_path(op: str, a: Scalar, b: Scalar) -> Scalar:
+    """What the polynomial path computes: a degree table, then ``Scalar._make``."""
+    table: dict[int, Fraction] = {}
+    if op == "mul":
+        for da, ca in a.coeffs:
+            for db, cb in b.coeffs:
+                table[da + db] = table.get(da + db, F(0)) + ca * cb
+    else:
+        table = dict(a.coeffs)
+        for d, c in b.coeffs:
+            table[d] = table.get(d, F(0)) + (c if op == "add" else -c)
+    return Scalar._make(table, a.param or b.param)
+
+
+def same_scalar(got: Scalar, ref: Scalar) -> bool:
+    return (
+        got.coeffs == ref.coeffs
+        and got.param == ref.param
+        and hash(got) == hash(ref)
+        and got.render() == ref.render()
+    )
+
+
+@given(wide_fractions_st, wide_fractions_st)
+@settings(max_examples=100, deadline=None)
+def test_rational_fast_path_matches_general_path(x, y):
+    a, b = Scalar.rational(x), Scalar.rational(y)
+    # a Fraction or int operand is coerced and takes the general path
+    for op, fast, coerced in (
+        ("add", a + b, a + y),
+        ("sub", a - b, a - y),
+        ("mul", a * b, a * y),
+    ):
+        ref = general_path(op, a, b)
+        assert same_scalar(fast, ref)
+        assert same_scalar(coerced, ref)
+        assert all(type(c) is Fraction for _, c in fast.coeffs)
+    assert same_scalar(-a, Scalar._make({d: -c for d, c in a.coeffs}, None))
+    assert same_scalar(-a, a * -1)
+
+
+@given(wide_fractions_st, scalars_st())
+@settings(max_examples=60, deadline=None)
+def test_rational_with_polynomial_operand_keeps_general_path(x, p):
+    a = Scalar.rational(x)
+    for lhs, rhs in ((a, p), (p, a)):
+        assert same_scalar(lhs + rhs, general_path("add", lhs, rhs))
+        assert same_scalar(lhs - rhs, general_path("sub", lhs, rhs))
+        assert same_scalar(lhs * rhs, general_path("mul", lhs, rhs))
+
+
+def test_mixing_parameters_still_raises_next_to_rationals():
+    a = Scalar.parameter("a") + Scalar.rational(F(1, 3))
+    c = Scalar.parameter("c") * Scalar.rational(F(-2, 5))
+    half = Scalar.rational(F(1, 2))
+    assert (a + half) * half + half == (a + 1) * F(1, 2) + F(1, 4)  # one parameter is fine
+    for op in (lambda u, v: u + v, lambda u, v: u - v, lambda u, v: u * v):
+        with pytest.raises(ParameterError):
+            op(a, c)
+        with pytest.raises(ParameterError):
+            op(op(a, half), c)
