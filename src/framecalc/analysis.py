@@ -66,7 +66,7 @@ from .frames import (
     ce_differential,
     musical_flat,
     raise_index,
-    _omega_powers,
+    _top_omega_powers,
     _wedge_components,
 )
 from .scalars import Scalar
@@ -138,8 +138,7 @@ class Geometry:
     @cached_property
     def top_omega_powers(self) -> tuple[dict, dict]:
         """(Omega_{n-1}, Omega_n) for dim = 2n, as increasing-tuple components."""
-        powers = _omega_powers(self.omega, self.omega.dim // 2)
-        return powers[-2], powers[-1]
+        return _top_omega_powers(self.omega)
 
     @cached_property
     def holonomy(self) -> list[Tensor]:

@@ -12,8 +12,11 @@ Sign conventions:
   - gamma[j,p,k] gamma[i,q,p] - c[i,j,p] gamma[p,q,k]), which agrees with
   twice the antisymmetrized second covariant derivative on vectors for
   torsion-free connections;
-* the Lie derivative of a torsion-free connection along X is
-  (L_X nabla)[i,j,k] = (nabla nabla X)[i,j,k] + X^p R[p,i,j,k].
+* the Lie derivative of a connection along X is
+  (L_X nabla)(E_i, E_j) = [X, nabla_i E_j] - nabla_[X,E_i] E_j - nabla_i [X, E_j],
+  which for a torsion-free connection equals
+  (L_X nabla)[i,j,k] = (nabla nabla X)[i,j,k] + X^p R[p,i,j,k]
+  (Kobayashi-Nomizu, *Foundations* I, ch. VI).
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from .tensors import (
     DOWN,
     UP,
     Tensor,
-    basis_vector,
     _from_offsets,
     _kernel_rows,
     _slot_apply,
@@ -234,9 +236,13 @@ def lie_derivative_connection(
 ) -> Tensor:
     """(L_X nabla)[i,j,k], computed by two independent routes.
 
-    Route (a) is the index formula (nabla nabla X) + X . R; route (b) works
-    frame pair by frame pair.  The two must agree and the result must be
-    symmetric in (i, j); a mismatch raises ConventionFault.
+    Route (a) is the index formula (nabla nabla X) + X . R, which uses the
+    curvature; route (b) is the bracket formula
+    (L_X nabla)(E_i, E_j) = [X, nabla_i E_j] - nabla_[X,E_i] E_j - nabla_i [X, E_j],
+    which uses only the brackets and the Christoffel symbols.  The two agree
+    exactly when the connection is torsion-free and the curvature follows the
+    module's sign and slot conventions.  A mismatch, or a result that is not
+    symmetric in (i, j), raises ConventionFault.
 
     Torsionful connections are refused: the formulas assume torsion-free.
     ``geometry``, a :class:`framecalc.analysis.Geometry` of this algebra
@@ -248,37 +254,58 @@ def lie_derivative_connection(
     else:
         geometry.for_model(alg, conn).require_torsion_free()
         riem = geometry.curvature
-    xr = _curvature_along(riem, x)
-    a = _lie_derivative_given_curvature(alg, conn, x, riem, xr)
-
-    dim = alg.dim
-    frames = [basis_vector(dim, i) for i in range(1, dim + 1)]
-    along_x = [covariant_derivative_vector(conn, ej, x) for ej in frames]
-    for i in range(1, dim + 1):
-        ei = frames[i - 1]
-        for j in range(1, dim + 1):
-            ej = frames[j - 1]
-            t1 = covariant_derivative_vector(conn, ei, along_x[j - 1])
-            t2 = covariant_derivative_vector(conn, covariant_derivative_vector(conn, ei, ej), x)
-            base = ((i - 1) * dim + (j - 1)) * dim
-            for k in range(1, dim + 1):
-                b_val = t1.comps[k - 1] - t2.comps[k - 1] + xr.comps[base + k - 1]
-                if b_val != a.comps[base + k - 1]:
-                    raise ConventionFault(
-                        f"Lie derivative routes disagree at ({i},{j},{k}): "
-                        f"{a.comps[base + k - 1]} vs {b_val}"
-                    )
+    a = _lie_derivative_given_curvature(alg, conn, x, riem)
+    b = _lie_derivative_brackets(alg, conn, x)
+    if b != a:
+        off, (i, j, k) = _first_mismatch(a, b)
+        raise ConventionFault(
+            f"Lie derivative routes disagree at ({i},{j},{k}): {a.comps[off]} vs {b.comps[off]}"
+        )
     swapped = a.swap_slots(0, 1)
     if swapped != a:
         # the first mismatch in storage order has i < j
-        off = next(o for o, (u, v) in enumerate(zip(a.comps, swapped.comps)) if u != v)
-        i, rest = divmod(off, dim * dim)
-        j, k = divmod(rest, dim)
+        _, (i, j, k) = _first_mismatch(a, swapped)
         raise ConventionFault(
             f"Lie derivative of a torsion-free connection must be "
-            f"symmetric; broken at ({i + 1},{j + 1},{k + 1})"
+            f"symmetric; broken at ({i},{j},{k})"
         )
     return a
+
+
+def _first_mismatch(a: Tensor, b: Tensor) -> tuple[int, tuple[int, int, int]]:
+    """Offset and 1-based (i, j, k) of the first component, in storage order,
+    where two different rank-3 tensors disagree."""
+    dim = a.dim
+    off = next(o for o, (u, v) in enumerate(zip(a.comps, b.comps)) if u != v)
+    i, rest = divmod(off, dim * dim)
+    j, k = divmod(rest, dim)
+    return off, (i + 1, j + 1, k + 1)
+
+
+def _lie_derivative_brackets(alg: FrameAlgebra, conn: Connection, x: Tensor) -> Tensor:
+    """Bracket route: with ad_X E_m = [X, E_m] = sum_r M[m][r] E_r, where
+    M[m][r] = X^p c[p,m,r],
+
+        (L_X nabla)[i,j,k] = sum_m gamma[i,j,m] M[m][k]
+                             - sum_m M[i][m] gamma[m,j,k]
+                             - sum_m M[j][m] gamma[i,m,k],
+
+    one pass of the slot kernel over gamma per term; no curvature."""
+    if alg.dim != conn.dim or x.dim != conn.dim:
+        raise ShapeError("algebra, connection, and tensor dimensions must agree")
+    dim = conn.dim
+    ad: list[list] = [[] for _ in range(dim)]
+    minus_ad_t: list[list] = [[] for _ in range(dim)]
+    for off, value in _slot_pair(alg.c, 0, x.comps, {}).items():
+        m, r = divmod(off, dim)
+        ad[m].append((r, value))
+        minus_ad_t[r].append((m, -value))
+    ad, minus_ad_t = _kernel_rows(ad), _kernel_rows(minus_ad_t)
+    acc: dict = {}
+    _slot_apply(conn.gamma, 2, ad, acc)
+    _slot_apply(conn.gamma, 0, minus_ad_t, acc)
+    _slot_apply(conn.gamma, 1, minus_ad_t, acc)
+    return _from_offsets(dim, (DOWN, DOWN, UP), acc)
 
 
 def _curvature_along(riem: Tensor, x: Tensor) -> Tensor:
@@ -289,14 +316,11 @@ def _curvature_along(riem: Tensor, x: Tensor) -> Tensor:
 
 
 def _lie_derivative_given_curvature(
-    alg: FrameAlgebra, conn: Connection, x: Tensor, riem: Tensor, xr: Tensor | None = None
+    alg: FrameAlgebra, conn: Connection, x: Tensor, riem: Tensor
 ) -> Tensor:
-    """Index-formula route, reusing a precomputed curvature tensor and, when
-    given, the X . R term."""
+    """Index-formula route (a), reusing a precomputed curvature tensor."""
     ddx = covariant_derivative(alg, conn, covariant_derivative(alg, conn, x))
-    if xr is None:
-        xr = _curvature_along(riem, x)
-    return ddx + xr
+    return ddx + _curvature_along(riem, x)
 
 
 def lower_lie_derivative(lxnabla: Tensor, omega: SymplecticForm) -> Tensor:

@@ -21,7 +21,9 @@ i_1 < .. < i_k, C(dim, k) of them, while the dense tensor stores dim**k.
 The exterior algebra works on that basis: ``_wedge_components`` multiplies
 ``{increasing tuple: Scalar}`` dicts, and ``_omega_powers`` builds
 Omega_0 .. Omega_k from it without a dense top-degree tensor (Omega_n has
-one independent component and dim**dim dense ones).  The public
+one independent component and dim**dim dense ones).  The two top powers
+that the wedge identity needs come from Pfaffians of restrictions of the
+form instead (``_top_omega_powers``).  The public
 :func:`wedge` and :func:`omega_power` validate their inputs and expand the
 result to a dense tensor.  Index raising, lowering and the interior
 product go through the sparse slot kernel of :mod:`framecalc.tensors`.
@@ -345,6 +347,23 @@ def _omega_powers(omega: SymplecticForm, k: int) -> list[dict]:
         inv = Scalar.rational(Fraction(1, j))
         powers.append({idx: v * inv for idx, v in _wedge_components(powers[-1], form).items()})
     return powers
+
+
+def _top_omega_powers(omega: SymplecticForm) -> tuple[dict, dict]:
+    """(Omega_{n-1}, Omega_n) for dim = 2n, as nonzero increasing-tuple
+    components, from Pfaffians instead of repeated wedges:
+    Omega_k[I] = Pf(omega restricted to I) for |I| = 2k, so Omega_n is
+    ``omega.pfaffian`` and Omega_{n-1} takes one Pfaffian for each of the
+    C(dim, 2) index sets that leave out a pair."""
+    dim = omega.dim
+    comps = omega.lower.comps
+    mat = [[comps[i * dim + j].as_fraction() for j in range(dim)] for i in range(dim)]
+    rest = {}
+    for inc in increasing_tuples(dim, dim - 2):
+        pf = linalg.pfaffian([[mat[i - 1][j - 1] for j in inc] for i in inc])
+        if pf:
+            rest[inc] = Scalar.rational(pf)
+    return rest, {tuple(range(1, dim + 1)): Scalar.rational(omega.pfaffian)}
 
 
 def omega_power(omega: SymplecticForm, k: int) -> Tensor:

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import linalg
 from .analysis import Geometry, Subspace, _geometry_for
-from .connections import Connection, curvature, _lie_derivative_given_curvature
+from .connections import Connection, curvature, _lie_derivative_brackets
 from .errors import InconsistencyError, ParameterError, ShapeError
 from .frames import FrameAlgebra, SymplecticForm, ce_differential, musical_flat
 from .scalars import Scalar
@@ -124,7 +124,10 @@ def is_flat_family(alg: FrameAlgebra, family: Connection) -> bool:
 
 
 def _automorphism_rows(geometry: Geometry) -> list[list[Fraction]]:
-    """Rows of the linear map X (by frame components) to L_X nabla."""
+    """Rows of the linear map X (by frame components) to L_X nabla.
+
+    The columns L_{E_a} nabla come from the bracket route, which needs no
+    curvature; reports on the resulting basis check both routes."""
     alg, conn = geometry.alg, geometry.conn
     if not conn.is_rational():
         raise ParameterError(
@@ -132,10 +135,9 @@ def _automorphism_rows(geometry: Geometry) -> list[list[Fraction]]:
         )
     geometry.require_torsion_free()
     dim = alg.dim
-    riem = geometry.curvature
     columns = []
     for a in range(1, dim + 1):
-        lx = _lie_derivative_given_curvature(alg, conn, basis_vector(dim, a), riem)
+        lx = _lie_derivative_brackets(alg, conn, basis_vector(dim, a))
         columns.append([c.as_fraction() for c in lx.comps])
     rows = []
     for r in range(dim**3):
@@ -150,7 +152,7 @@ def automorphism_space(
 ) -> Subspace:
     """Invariant fields X with L_X nabla = 0, as a canonical subspace.
 
-    ``geometry``, when given, supplies the torsion verdict and curvature.
+    ``geometry``, when given, supplies the torsion verdict.
     """
     rows = _automorphism_rows(_geometry_for(alg, conn, None, geometry))
     return Subspace.from_vectors(alg.dim, linalg.nullspace(rows, alg.dim))

@@ -166,6 +166,14 @@ def sample_connection(rng: random.Random, space, nonzero: int = 6) -> Connection
     return space.point(coeffs)
 
 
+def aff_r_squared():
+    """(algebra, omega) for aff(R) x aff(R): [E1,E2] = E2, [E3,E4] = E4 and
+    omega = e12 + e34.  The algebra is not unimodular (tr ad E1 = 1), so
+    invariant fields can have nonzero divergence."""
+    alg = validate_algebra(structure_constants(4, {(1, 2, 2): 1, (3, 4, 4): 1}))
+    return alg, symplectic_form(4, {(1, 2): 1, (3, 4): 1})
+
+
 ALGEBRA_POOL_SEED = 20260810
 
 

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+import framecalc.cli
+import framecalc.connections
 from framecalc import (
     abelian_algebra,
     ce_differential,
@@ -23,12 +25,21 @@ from framecalc import (
     validate_algebra,
     zero_connection,
 )
-from framecalc.connections import is_torsion_free, preserves_form
-from framecalc.errors import PreconditionError
+from framecalc.analysis import Geometry, verify_automorphism
+from framecalc.connections import (
+    Connection,
+    _lie_derivative_brackets,
+    _lie_derivative_given_curvature,
+    is_torsion_free,
+    preserves_form,
+)
+from framecalc.errors import ConventionFault, PreconditionError
 from framecalc.moduli import symplectic_connection_space
 from framecalc.scalars import Scalar, parse_scalar
-from framecalc.tensors import Tensor, basis_covector, basis_vector
+from framecalc.specfile import document_from_model, serialize_spec
+from framecalc.tensors import DOWN, UP, Tensor, basis_covector, basis_vector
 from helpers import (
+    aff_r_squared,
     random_torsion_free_connection,
     random_vector,
     sample_connection,
@@ -242,3 +253,132 @@ def test_preserves_form_and_torsion_free_predicates():
     assert is_torsion_free(KT.algebra, KT.connection)
     assert preserves_form(KT.algebra, KT.connection, KT.omega)
     assert not is_torsion_free(KT.algebra, zero_connection(4))
+
+
+# -- the two routes of L_X nabla are live ---------------------------------------------------
+
+
+def bracket_terms(alg, conn: Connection, x: Tensor) -> list[Tensor]:
+    """The three terms of the bracket route as dense index sums, with
+    M[m][r] = X^p c[p,m,r]: gamma[i,j,m] M[m][k], -M[i][m] gamma[m,j,k] and
+    -M[j][m] gamma[i,m,k]."""
+    dim = alg.dim
+    zero = Scalar.zero()
+    span = range(1, dim + 1)
+    m = [[sum((x[(p,)] * alg.c[(p, a, r)] for p in span), zero) for r in span] for a in span]
+    g = conn.gamma
+
+    def term(fn):
+        return Tensor.from_function(dim, (DOWN, DOWN, UP), lambda i, j, k: sum(fn(i, j, k), zero))
+
+    return [
+        term(lambda i, j, k: (g[(i, j, p)] * m[p - 1][k - 1] for p in span)),
+        term(lambda i, j, k: (-m[i - 1][p - 1] * g[(p, j, k)] for p in span)),
+        term(lambda i, j, k: (-m[j - 1][p - 1] * g[(i, p, k)] for p in span)),
+    ]
+
+
+def nonflat_model():
+    """A seeded torsion-free, non-flat connection on aff(R) x aff(R) and a vector."""
+    rng = random.Random(73)
+    alg, _ = aff_r_squared()
+    conn = random_torsion_free_connection(rng, alg)
+    assert not curvature(alg, conn).is_zero()
+    return alg, conn, random_vector(rng, 4)
+
+
+def test_bracket_route_is_the_sum_of_its_terms():
+    alg, conn, x = nonflat_model()
+    terms = bracket_terms(alg, conn, x)
+    assert all(not t.is_zero() for t in terms)
+    assert _lie_derivative_brackets(alg, conn, x) == terms[0] + terms[1] + terms[2]
+    assert lie_derivative_connection(alg, conn, x) == terms[0] + terms[1] + terms[2]
+
+
+def test_bracket_route_makes_no_frame_pair_calls(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("covariant_derivative_vector called")
+
+    monkeypatch.setattr(framecalc.connections, "covariant_derivative_vector", refuse)
+    alg, conn, x = nonflat_model()
+    assert not lie_derivative_connection(alg, conn, x).is_zero()
+
+
+def negated(original, alg, conn, **kwargs):
+    return -original(alg, conn, **kwargs)
+
+
+def slots_swapped(original, alg, conn, **kwargs):
+    return original(alg, Connection(conn.gamma.swap_slots(0, 1)), **kwargs)
+
+
+@pytest.mark.parametrize("mutant", [negated, slots_swapped])
+def test_route_check_catches_curvature_convention_faults(monkeypatch, mutant):
+    alg, conn, x = nonflat_model()
+    original = framecalc.connections.curvature
+    monkeypatch.setattr(
+        framecalc.connections, "curvature", lambda alg, conn, **kw: mutant(original, alg, conn, **kw)
+    )
+    with pytest.raises(ConventionFault, match="routes disagree at"):
+        lie_derivative_connection(alg, conn, x)
+
+
+@pytest.mark.parametrize("dropped", range(3))
+def test_route_check_catches_a_dropped_bracket_term(monkeypatch, dropped):
+    alg, conn, x = nonflat_model()
+    kept = [t for pos, t in enumerate(bracket_terms(alg, conn, x)) if pos != dropped]
+    monkeypatch.setattr(
+        framecalc.connections, "_lie_derivative_brackets", lambda alg, conn, x: kept[0] + kept[1]
+    )
+    with pytest.raises(ConventionFault, match="routes disagree at"):
+        lie_derivative_connection(alg, conn, x)
+
+
+def test_symmetry_check_catches_routes_that_agree_on_a_skew_result(monkeypatch):
+    alg, conn, x = nonflat_model()
+    skew = Tensor.from_entries(4, (DOWN, DOWN, UP), {(1, 2, 3): Scalar.one()})
+    for name in ("_lie_derivative_brackets", "_lie_derivative_given_curvature"):
+        monkeypatch.setattr(framecalc.connections, name, lambda *args: skew)
+    with pytest.raises(ConventionFault, match=r"symmetric; broken at \(1,2,3\)"):
+        lie_derivative_connection(alg, conn, x)
+
+
+# -- a non-unimodular algebra: aff(R) x aff(R) ----------------------------------------------
+
+
+def test_aff_r_squared_moduli_dimension():
+    alg, omega = aff_r_squared()
+    assert symplectic_connection_space(alg, omega).dimension == 20
+
+
+def test_aff_r_squared_routes_divergence_and_wedge_identity():
+    alg, omega = aff_r_squared()
+    space = symplectic_connection_space(alg, omega)
+    rng = random.Random(79)
+    nonzero_divergence = 0
+    for _ in range(20):
+        conn = sample_connection(rng, space)
+        geo = Geometry(alg, omega, conn)
+        for a in range(1, 5):
+            x = basis_vector(4, a)
+            lx = _lie_derivative_brackets(alg, conn, x)
+            assert lx == _lie_derivative_given_curvature(alg, conn, x, geo.curvature)
+            report = verify_automorphism(alg, omega, conn, x, geometry=geo)
+            assert report.is_affine_automorphism == lx.is_zero()
+            assert report.wedge_identity_holds
+            nonzero_divergence += bool(report.divergence)
+    assert nonzero_divergence
+
+
+def test_aff_r_squared_verify_all_invariant(tmp_path, capsys):
+    alg, omega = aff_r_squared()
+    conn = symplectic_connection_space(alg, omega).particular
+    spec = tmp_path / "aff2.spec"
+    spec.write_text(serialize_spec(document_from_model(4, None, alg, omega, conn, {})))
+    assert framecalc.cli.main(["verify", str(spec), "--all-invariant"]) == 0
+    out = capsys.readouterr().out
+    # two non-symplectic automorphisms, each with divergence -1
+    assert out.count("affine-automorphism: yes") == 2
+    assert out.count("symplectic: no") == 2
+    assert out.count("divergence: -1") == 2
+    assert out.count("wedge-identity: yes") == 2

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,7 @@ from framecalc import (
     wedge,
 )
 from framecalc.errors import AlgebraError, FormError, ParameterError, ShapeError
-from framecalc.frames import SymplecticForm, algebra_violations
+from framecalc.frames import SymplecticForm, _omega_powers, _top_omega_powers, algebra_violations
 from framecalc.scalars import Scalar
 from framecalc.tensors import (
     DOWN,
@@ -228,6 +229,50 @@ def test_omega_powers():
     unit = omega_power(om, 0)
     assert unit.rank == 0 and unit[()] == Scalar.one()
     assert omega_power(om, 1) == om.lower
+
+
+def dense_symplectic_form(rng: random.Random, dim: int) -> SymplecticForm:
+    """A form with every i < j entry drawn from [-3, 3]/[1, 3], redrawn until
+    nondegenerate."""
+    while True:
+        entries = {}
+        for i in range(1, dim + 1):
+            for j in range(i + 1, dim + 1):
+                v = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                if v:
+                    entries[(i, j)] = v
+        try:
+            return symplectic_form(dim, entries)
+        except FormError:
+            continue
+
+
+def test_top_omega_powers_from_pfaffians_match_repeated_wedges():
+    rng = random.Random(67)
+    for dim in (2, 4, 6, 8, 10):
+        darboux = symplectic_form(dim, {(2 * i - 1, 2 * i): 1 for i in range(1, dim // 2 + 1)})
+        for om in (dense_symplectic_form(rng, dim), darboux):
+            powers = _omega_powers(om, dim // 2)
+            assert _top_omega_powers(om) == (powers[-2], powers[-1])
+    one = Scalar.one()
+    assert _top_omega_powers(KT.omega) == ({(1, 2): one, (3, 4): one}, {(1, 2, 3, 4): one})
+
+
+def test_top_omega_powers_of_a_dense_dim16_form_are_fast():
+    om = dense_symplectic_form(random.Random(71), 16)
+    start = time.perf_counter()
+    rest, top = _top_omega_powers(om)
+    elapsed = time.perf_counter() - start
+    assert top == {tuple(range(1, 17)): Scalar.rational(om.pfaffian)}
+    # Pfaffian expansion along the first row: Pf = sum_j (-1)^j w_1j Pf(omega without 1, j)
+    expansion = Scalar.zero()
+    for j in range(2, 17):
+        minor = rest.get(tuple(i for i in range(1, 17) if i not in (1, j)), Scalar.zero())
+        term = om.lower[(1, j)] * minor
+        expansion = expansion + (term if j % 2 == 0 else -term)
+    assert expansion == Scalar.rational(om.pfaffian)
+    assert len(rest) > 100
+    assert elapsed < 1.0, f"the top powers of a dense dim-16 form took {elapsed:.2f} s"
 
 
 def test_wedge_graded_commutativity():

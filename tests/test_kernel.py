@@ -8,7 +8,9 @@ is exact and scalars are canonical, so the kernel versions must agree with
 them component for component, over Q and over Q[b].
 
 The sparse wedge identity of the verdict chain is compared with the dense
-``wedge(d_flat, Omega_{n-1}) == Omega_n.scale(div)`` in the same spirit.
+``wedge(d_flat, Omega_{n-1}) == Omega_n.scale(div)`` in the same spirit,
+and the bracket route of ``L_X nabla`` with the frame-pair route that it
+replaced.
 """
 
 from __future__ import annotations
@@ -43,10 +45,13 @@ from framecalc.analysis import (
 from framecalc.connections import (
     Connection,
     _curvature_along,
+    _lie_derivative_brackets,
+    _lie_derivative_given_curvature,
     covariant_derivative,
     covariant_derivative_vector,
     curvature,
     divergence,
+    lie_derivative_connection,
 )
 from framecalc.errors import FormError, ShapeError
 from framecalc.frames import (
@@ -60,6 +65,7 @@ from framecalc.frames import (
     symplectic_form,
     wedge,
 )
+from framecalc.moduli import _automorphism_rows
 from framecalc.scalars import Scalar
 from framecalc.tensors import (
     DOWN,
@@ -73,7 +79,14 @@ from framecalc.tensors import (
     _offset,
 )
 
-from helpers import random_symplectic_model, random_vector, sample_connection
+from helpers import (
+    aff_r_squared,
+    random_symplectic_model,
+    random_torsion_free_connection,
+    random_vector,
+    sample_connection,
+    two_step_nilpotent,
+)
 
 _ZERO = Scalar.zero()
 _B = Scalar.parameter("b")
@@ -575,6 +588,82 @@ def test_catalog_reports_keep_their_wedge_verdicts():
             )
 
 
+# -- the routes of L_X nabla ----------------------------------------------------------------
+
+
+def ref_lie_derivative_frame_pairs(conn: Connection, x: Tensor, riem: Tensor) -> Tensor:
+    """The frame-pair route that ``lie_derivative_connection`` ran before the
+    bracket route: nabla_i nabla_j X - nabla_{nabla_i E_j} X + X . R, with
+    ``dim + 3 dim**2`` calls of ``covariant_derivative_vector``."""
+    dim = conn.dim
+    xr = _curvature_along(riem, x)
+    frames = [basis_vector(dim, i) for i in range(1, dim + 1)]
+    along_x = [covariant_derivative_vector(conn, ej, x) for ej in frames]
+    comps = []
+    for i in range(dim):
+        for j in range(dim):
+            t1 = covariant_derivative_vector(conn, frames[i], along_x[j])
+            t2 = covariant_derivative_vector(
+                conn, covariant_derivative_vector(conn, frames[i], frames[j]), x
+            )
+            base = (i * dim + j) * dim
+            comps.extend(t1.comps[k] - t2.comps[k] + xr.comps[base + k] for k in range(dim))
+    return Tensor(dim, (DOWN, DOWN, UP), tuple(comps))
+
+
+def with_parameter(rng: random.Random, conn: Connection) -> Connection:
+    """``conn`` plus b times a random table on a few entries symmetric in
+    (i, j): still torsion-free, now over Q[b]."""
+    dim = conn.dim
+    entries = {}
+    for _ in range(2 * dim):
+        i, j, k = (rng.randint(1, dim) for _ in range(3))
+        entries[(i, j, k)] = entries[(j, i, k)] = _B * Fraction(rng.randint(1, 3), rng.randint(1, 3))
+    return Connection(conn.gamma + Tensor.from_entries(dim, (DOWN, DOWN, UP), entries))
+
+
+def lie_route_models():
+    """Seeded torsion-free (algebra, connection, vector) triples: rational and
+    Q[b] at dims 4 and 6 on two-step nilpotent algebras, and rational on the
+    non-unimodular aff(R) x aff(R)."""
+    rng = random.Random(91)
+    out = []
+    for dim in (4, 6):
+        alg = two_step_nilpotent(rng, dim)
+        conn = random_torsion_free_connection(rng, alg)
+        out.append((alg, conn, random_vector(rng, dim)))
+        out.append((alg, with_parameter(rng, conn), random_vector(rng, dim, poly=True)))
+    alg, _ = aff_r_squared()
+    out.append((alg, random_torsion_free_connection(rng, alg), random_vector(rng, 4)))
+    return out
+
+
+def test_bracket_route_matches_frame_pairs_and_index_formula():
+    for alg, conn, x in lie_route_models():
+        geo = Geometry(alg, None, conn)
+        riem = geo.curvature
+        for v in (x, basis_vector(alg.dim, 1)):
+            brackets = _lie_derivative_brackets(alg, conn, v)
+            assert not brackets.is_zero()
+            assert brackets == _lie_derivative_given_curvature(alg, conn, v, riem)
+            assert brackets == ref_lie_derivative_frame_pairs(conn, v, riem)
+        assert lie_derivative_connection(alg, conn, x, geo) == _lie_derivative_brackets(alg, conn, x)
+
+
+def test_automorphism_rows_match_index_formula_columns():
+    for alg, conn, _ in lie_route_models():
+        if not conn.is_rational():
+            continue
+        riem = curvature(alg, conn, torsion_free=True)
+        dim = alg.dim
+        columns = []
+        for a in range(1, dim + 1):
+            lx = _lie_derivative_given_curvature(alg, conn, basis_vector(dim, a), riem)
+            columns.append([c.as_fraction() for c in lx.comps])
+        expected = [row for row in zip(*columns) if any(row)]
+        assert _automorphism_rows(Geometry(alg, None, conn)) == [list(row) for row in expected]
+
+
 def test_dim8_darboux_verify_is_fast():
     model = darboux_flat(4)
     start = time.perf_counter()
@@ -598,3 +687,5 @@ def test_kernel_entry_points_refuse_mismatched_dimensions():
         covariant_derivative_vector(kt.connection, basis_vector(4, 1), basis_vector(2, 1))
     with pytest.raises(ShapeError):
         _curvature_along(curvature(kt.algebra, kt.connection), basis_vector(2, 1))
+    with pytest.raises(ShapeError):
+        _lie_derivative_brackets(kt.algebra, kt.connection, basis_vector(2, 1))
