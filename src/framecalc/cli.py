@@ -96,8 +96,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:  # built on the first call, not at import
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         if args.command == "verify":
             return _cmd_verify(args)

@@ -5,10 +5,9 @@ an incrementally maintained, fully reduced row-echelon basis over
 :class:`fractions.Fraction`, with sparse ``{column: value}`` rows.  A row
 is inserted by clearing its entries in the stored pivot columns; a nonzero
 remainder is scaled to a leading 1 and its pivot column is cleared from
-the stored rows.  ``rref``, ``rank``, ``nullspace``, ``invert`` and the
-sparse affine solver are thin wrappers over it; only the Pfaffian, a
-skew-symmetric elimination that must keep the matrix skew, has its own
-loop.
+the stored rows.  ``rref``, ``rank``, ``nullspace`` and ``invert`` are thin
+wrappers over it; only the Pfaffian, a skew-symmetric elimination that
+must keep the matrix skew, has its own loop.
 
 Pivoting is fixed: the pivot of a stored row is its leftmost nonzero
 column, scaled to 1, and every other stored row is zero there.  These are
@@ -17,19 +16,11 @@ one basis that meets them.  So the stored basis depends only on the span
 of the inserted rows, never on their order or on how the elimination went:
 every echelon output is canonical and reproducible, and no size heuristics
 are needed because the arithmetic is exact.
-
-The affine solver allows polynomial right-hand sides: it carries them as
-one extra, rightmost column of :class:`Scalar` entries (an augmented
-matrix), so parametrized inhomogeneous systems solve exactly while every
-pivot stays rational.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-from .errors import InconsistencyError
-from .scalars import Scalar
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -112,13 +103,20 @@ class Echelon:
                 _subtract(tail, f, v)
         self._tails[q] = v
 
+    def rows(self) -> list[tuple[int, dict[int, Fraction]]]:
+        """Canonical basis rows as ``(pivot, tail)``, sorted by pivot column.
+
+        The tails are the stored dicts; callers must not change them.
+        """
+        return sorted(self._tails.items())
+
     def basis(self) -> list[list[Fraction]]:
         """Dense canonical basis rows, sorted by pivot column."""
         out = []
-        for p in sorted(self._tails):
+        for p, tail in self.rows():
             row = [_F0] * self.ncols
             row[p] = _F1
-            for c, x in self._tails[p].items():
+            for c, x in tail.items():
                 row[c] = x
             out.append(row)
         return out
@@ -212,35 +210,3 @@ def pfaffian(mat: list[list[Fraction]]) -> Fraction:
                     ai[j] += d
                     a[j][i] -= d
     return result
-
-
-def solve_affine_sparse(
-    rows: list[dict[int, Fraction]],
-    rhs: list[Scalar],
-    nunknowns: int,
-) -> tuple[list[Scalar], list[list[Fraction]]]:
-    """Solve ``rows @ x = rhs`` exactly.
-
-    Coefficients are rational; right-hand sides may be polynomial scalars.
-    Returns (particular solution with free unknowns set to zero, canonical
-    rational nullspace basis).  Raises :class:`InconsistencyError` when the
-    system has no solution.
-    """
-    ech = Echelon(nunknowns + 1)
-    for r, (row, value) in enumerate(zip(rows, rhs)):
-        aug = dict(row)
-        if value:
-            aug[nunknowns] = value
-        rest = ech.reduce(aug)
-        if not rest:
-            continue
-        if min(rest) == nunknowns:
-            raise InconsistencyError(
-                f"system is inconsistent (row {r}: 0 = {rest[nunknowns]})"
-            )
-        ech._add(rest)
-
-    particular = [Scalar.zero()] * nunknowns
-    for p, tail in ech._tails.items():
-        particular[p] = tail.get(nunknowns, Scalar.zero())
-    return particular, ech.kernel(nunknowns).basis()

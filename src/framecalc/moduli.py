@@ -1,6 +1,20 @@
-"""Exact linear solving for invariant torsion-free form-preserving connections,
-flatness testing on parametrized slices, and the automorphism/symplectic
-field spaces.
+"""The space of invariant symplectic connections, flatness testing on
+parametrized slices, and the automorphism/symplectic field spaces.
+
+Torsion-free connections with ``nabla omega = 0`` form an affine space
+modelled on the totally symmetric 3-tensors ``S_ijk = gamma[i,j,p] omega_pk``
+(Bieliavsky, Cahen, Gutt, Rawnsley and Schwachhöfer, *Symplectic
+connections*, IJGMMP 2006, section 2; Gelfand, Retakh and Shubin, *Fedosov
+manifolds*, Adv. Math. 1998).  :func:`symplectic_connection_space` builds
+it in closed form from that description; nothing eliminates the two
+linear systems over the ``dim**3`` Christoffel unknowns.  Its output is
+still the one that elimination gives:
+
+* the homogeneous basis is the canonical (reduced row-echelon) basis of
+  the directions, and a subspace has only one such basis;
+* the particular point is the one that vanishes on the free unknowns of
+  the elimination, found from the echelon of the same directions with
+  the column order reversed (matroid duality, see the function).
 
 Christoffel unknowns are ordered lexicographically in (i, j, k), 1-based,
 so echelon bases are stable across runs and versions.
@@ -8,6 +22,7 @@ so echelon bases are stable across runs and versions.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -15,13 +30,20 @@ from . import linalg
 from .analysis import Geometry, Subspace, _geometry_for
 from .connections import Connection, curvature, _lie_derivative_brackets
 from .errors import InconsistencyError, ParameterError, ShapeError
-from .frames import FrameAlgebra, SymplecticForm, ce_differential, musical_flat
+from .frames import (
+    FrameAlgebra,
+    SymplecticForm,
+    ce_differential,
+    lower_index,
+    musical_flat,
+    raise_index,
+)
 from .scalars import Scalar
-from .tensors import DOWN, UP, Tensor, basis_vector
+from .tensors import DOWN, UP, Tensor, _from_offsets, basis_vector
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
+_GAMMA = (DOWN, DOWN, UP)
 _ZERO = Scalar.zero()
+_ONE = Scalar.one()
 
 
 @dataclass(frozen=True)
@@ -61,17 +83,25 @@ class AffineSolutionSpace:
         return linalg.Echelon(len(target), rows).contains(target)
 
 
-def _gamma_unknown(dim: int, i: int, j: int, k: int) -> int:
-    return ((i - 1) * dim + (j - 1)) * dim + (k - 1)
-
-
 def symplectic_connection_space(alg: FrameAlgebra, omega: SymplecticForm) -> AffineSolutionSpace:
-    """Solve {torsion = 0, nabla omega = 0} exactly.
+    """The torsion-free connections with nabla omega = 0, in closed form.
 
-    The system is linear with rational coefficients: torsion rows pair
-    gamma[i,j,k] - gamma[j,i,k] against the bracket constants, and form
-    rows contract gamma against the (rational) form components.  The form
-    must be closed for the system to be consistent.
+    ``S_ijk = gamma[i,j,p] omega_pk`` turns the homogeneous system into
+    "S is totally symmetric", so the directions are the elementary
+    symmetric 3-tensors with their last slot raised by the dual bivector,
+    ``gamma[x,y,q] = Omega^{qz} S_xyz``: ``C(dim+2, 3)`` sparse rows whose
+    canonical echelon basis is the homogeneous basis.  The particular
+    point starts at ``Gamma0 = c/2``.  With ``N_ajk = S0_ajk - S0_akj``
+    (``nabla0 omega`` up to sign) and ``B_ajk = (N_ajk + N_jak)/3``,
+    ``Gamma0 - B`` raised is torsion-free, and ``d omega = 0`` (the cyclic
+    sum of ``N``) makes it preserve ``omega``.  It is then moved along the
+    directions until it vanishes on the free unknowns of the elimination
+    of the two systems in lexicographic unknown order.  Those unknowns are
+    the pivots of the echelon of the same directions with the column order
+    reversed (the complement of the lexicographically first basis of a
+    matroid is the lexicographically last basis of its dual), so the
+    result is the unique point with zeros there, whatever route finds it.
+    ``c`` may be polynomial; only the particular point then lies in Q[b].
     """
     if alg.dim != omega.dim:
         raise ShapeError("algebra and form dimensions must agree")
@@ -80,42 +110,58 @@ def symplectic_connection_space(alg: FrameAlgebra, omega: SymplecticForm) -> Aff
             "no torsion-free connection preserves a non-closed form"
         )
     dim = alg.dim
-    nunknowns = dim**3
-    rows: list[dict[int, Fraction]] = []
-    rhs: list[Scalar] = []
-    for i in range(1, dim + 1):
-        for j in range(i + 1, dim + 1):
-            for k in range(1, dim + 1):
-                rows.append(
-                    {
-                        _gamma_unknown(dim, i, j, k): _F1,
-                        _gamma_unknown(dim, j, i, k): -_F1,
-                    }
-                )
-                rhs.append(alg.c[(i, j, k)])
-    for a in range(1, dim + 1):
-        for j in range(1, dim + 1):
-            for k in range(j + 1, dim + 1):
-                row: dict[int, Fraction] = {}
-                for p in range(1, dim + 1):
-                    w = omega.lower[(p, k)].as_fraction()
-                    if w:
-                        col = _gamma_unknown(dim, a, j, p)
-                        row[col] = row.get(col, _F0) - w
-                    w = omega.lower[(j, p)].as_fraction()
-                    if w:
-                        col = _gamma_unknown(dim, a, k, p)
-                        row[col] = row.get(col, _F0) - w
-                if row:
-                    rows.append(row)
-                    rhs.append(_ZERO)
-    particular, basis = linalg.solve_affine_sparse(rows, rhs, nunknowns)
-    part_conn = Connection(Tensor(dim, (DOWN, DOWN, UP), tuple(particular)))
-    basis_conns = tuple(
-        Connection(Tensor(dim, (DOWN, DOWN, UP), tuple(Scalar.rational(c) for c in row)))
-        for row in basis
+    n = dim**3
+    # raise_rows[z] lists (q, Omega^{qz}): S_xyz contributes to gamma[x,y,q]
+    raise_rows: list[list[tuple[int, Fraction]]] = [[] for _ in range(dim)]
+    for off, value in omega.upper._entries():
+        q, z = divmod(off, dim)
+        raise_rows[z].append((q, value.as_fraction()))
+    directions = []
+    for triple in itertools.combinations_with_replacement(range(dim), 3):
+        row: dict[int, Fraction] = {}
+        for x, y, z in set(itertools.permutations(triple)):
+            base = (x * dim + y) * dim
+            for q, w in raise_rows[z]:
+                row[base + q] = w
+        directions.append(row)
+
+    basis = linalg.Echelon(n, directions)
+    basis_conns = []
+    for pivot, tail in basis.rows():
+        comps = [_ZERO] * n
+        comps[pivot] = _ONE
+        for col, x in tail.items():
+            comps[col] = Scalar.rational(x)
+        basis_conns.append(Connection(Tensor(dim, _GAMMA, tuple(comps))))
+
+    gamma0 = alg.c.scale(Fraction(1, 2))
+    # 3 B_ajk = S0_ajk + S0_jak - S0_akj - S0_jka, so S0_xyz enters B at
+    # (x,y,z) and (y,x,z) with sign + and at (x,z,y) and (z,x,y) with sign -
+    b_acc: dict[int, Scalar] = {}
+    for off, s in lower_index(gamma0, 2, omega)._entries():
+        rest, z = divmod(off, dim)
+        x, y = divmod(rest, dim)
+        for key, term in (
+            (off, s),
+            ((y * dim + x) * dim + z, s),
+            ((x * dim + z) * dim + y, -s),
+            ((z * dim + x) * dim + y, -s),
+        ):
+            prev = b_acc.get(key)
+            b_acc[key] = term if prev is None else prev + term
+    correction = _from_offsets(dim, (DOWN, DOWN, DOWN), b_acc).scale(Fraction(1, 3))
+    comps = list((gamma0 - raise_index(correction, 2, omega)).comps)
+    reversed_basis = linalg.Echelon(
+        n, ({n - 1 - c: w for c, w in row.items()} for row in directions)
     )
-    return AffineSolutionSpace(part_conn, basis_conns)
+    for pivot, tail in reversed_basis.rows():
+        t = comps[n - 1 - pivot]
+        if t:
+            comps[n - 1 - pivot] = _ZERO
+            for col, w in tail.items():
+                comps[n - 1 - col] = comps[n - 1 - col] - t * w
+    particular = Connection(Tensor(dim, _GAMMA, tuple(comps)))
+    return AffineSolutionSpace(particular, tuple(basis_conns))
 
 
 def is_flat_family(alg: FrameAlgebra, family: Connection) -> bool:

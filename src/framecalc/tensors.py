@@ -467,22 +467,34 @@ def antisymmetric_from_components(
 
 
 def is_antisymmetric(t: Tensor) -> bool:
-    """Componentwise antisymmetry in all slots (repeated indices vanish)."""
+    """Componentwise antisymmetry in all slots (repeated indices vanish).
+
+    Only the nonzero entries are visited.  The tensor is antisymmetric
+    exactly when no nonzero entry has a repeated index, every nonzero entry
+    is its permutation's sign times the entry on the increasing reordering
+    of its index, and there are ``k!`` nonzero entries per nonzero
+    increasing one.  The first two conditions put every nonzero entry in
+    the ``k!``-element orbit of a nonzero increasing entry with the right
+    sign; the count then says that no entry of those orbits is zero.
+    """
     k = t.rank
     if k <= 1:
         return True
     dim = t.dim
-    for idx, value in zip(t.indices(), t.comps):
-        ordered = tuple(sorted(idx))
+    entries = t.nonzero()
+    increasing = 0
+    for idx, value in entries:
         if len(set(idx)) < k:
-            if value:
-                return False
+            return False
+        ordered = tuple(sorted(idx))
+        if idx == ordered:
+            increasing += 1
             continue
         ref = t.comps[_offset(dim, ordered)]
         expected = ref if permutation_sign(idx) == 1 else -ref
         if value != expected:
             return False
-    return True
+    return len(entries) == _factorial(k) * increasing
 
 
 def antisymmetric_components(t: Tensor) -> dict[tuple[int, ...], Scalar]:

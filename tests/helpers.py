@@ -1,9 +1,15 @@
-"""Shared sampling utilities for the test suite.
+"""Shared sampling utilities and references for the test suite.
 
 Random model generation is seeded and deterministic.  Two-step nilpotent
 algebras satisfy the Jacobi identity by construction ([V, V] lands in a
 central complement), which gives an honest supply of valid nonabelian
 algebras at any even dimension.
+
+``ref_solve_affine_sparse`` and ``ref_symplectic_connection_space`` are the
+elimination the package used to find the symplectic connection space
+before it was built in closed form: both linear systems over the ``dim**3``
+Christoffel unknowns, solved by one augmented :class:`Echelon`.  They stay
+here as the reference the closed form must reproduce exactly.
 """
 
 from __future__ import annotations
@@ -21,8 +27,9 @@ from framecalc import (
     symplectic_form,
     validate_algebra,
 )
-from framecalc.errors import FormError
-from framecalc.linalg import nullspace
+from framecalc.errors import FormError, InconsistencyError, ShapeError
+from framecalc.linalg import Echelon, nullspace
+from framecalc.moduli import AffineSolutionSpace
 from framecalc.scalars import Scalar
 from framecalc.tensors import DOWN, UP, increasing_tuples
 
@@ -134,6 +141,29 @@ def random_symplectic_model(rng: random.Random, dim: int):
             return alg, omega
 
 
+def dense_symplectic_model(rng: random.Random, dim: int):
+    """random_symplectic_model, redrawn until the algebra is nonabelian (from
+    dim 4 on) and the form is nonzero on at least two thirds of the index
+    pairs, so that raising an index mixes every frame."""
+    pairs = dim * (dim - 1) // 2
+    while True:
+        alg, omega = random_symplectic_model(rng, dim)
+        nonzero = len(omega.lower.nonzero()) // 2  # (i, j) and (j, i) both count
+        if (dim < 4 or not alg.c.is_zero()) and 3 * nonzero >= 2 * pairs:
+            return alg, omega
+
+
+def kt_type_model(rng: random.Random, n: int):
+    """Kodaira-Thurston-type model of dimension 2n: brackets
+    [E_2, E_2k] = a_k E_1 (k = 2..n) and the form sum_k w_k e^(2k-1) ^ e^(2k),
+    with seeded nonzero a_k and w_k.  E_1 is central and pairs only with
+    E_2, so the form is closed."""
+    dim = 2 * n
+    brackets = {(2, 2 * k, 1): rng.choice((-2, -1, 1, 2)) for k in range(2, n + 1)}
+    form = {(2 * k - 1, 2 * k): rng.choice((-2, -1, 1, 2)) for k in range(1, n + 1)}
+    return validate_algebra(structure_constants(dim, brackets)), symplectic_form(dim, form)
+
+
 def random_torsion_free_connection(
     rng: random.Random, alg: FrameAlgebra, poly: bool = False
 ) -> Connection:
@@ -192,3 +222,88 @@ def pool_algebras() -> list[FrameAlgebra]:
         two_step_nilpotent(rng, 6),
     ]
     return pool
+
+
+def ref_solve_affine_sparse(
+    rows: list[dict[int, Fraction]],
+    rhs: list[Scalar],
+    nunknowns: int,
+) -> tuple[list[Scalar], list[list[Fraction]]]:
+    """Solve ``rows @ x = rhs`` exactly.
+
+    Coefficients are rational; right-hand sides may be polynomial scalars.
+    Returns (particular solution with free unknowns set to zero, canonical
+    rational nullspace basis).  Raises :class:`InconsistencyError` when the
+    system has no solution.
+    """
+    ech = Echelon(nunknowns + 1)
+    for r, (row, value) in enumerate(zip(rows, rhs)):
+        aug = dict(row)
+        if value:
+            aug[nunknowns] = value
+        rest = ech.reduce(aug)
+        if not rest:
+            continue
+        if min(rest) == nunknowns:
+            raise InconsistencyError(
+                f"system is inconsistent (row {r}: 0 = {rest[nunknowns]})"
+            )
+        ech._add(rest)
+
+    particular = [Scalar.zero()] * nunknowns
+    for p, tail in ech._tails.items():
+        particular[p] = tail.get(nunknowns, Scalar.zero())
+    return particular, ech.kernel(nunknowns).basis()
+
+
+def _gamma_unknown(dim: int, i: int, j: int, k: int) -> int:
+    return ((i - 1) * dim + (j - 1)) * dim + (k - 1)
+
+
+def ref_symplectic_connection_space(alg: FrameAlgebra, omega) -> AffineSolutionSpace:
+    """Solve {torsion = 0, nabla omega = 0} by elimination over dim**3 unknowns.
+
+    Torsion rows pair gamma[i,j,k] - gamma[j,i,k] against the bracket
+    constants, and form rows contract gamma against the form components.
+    """
+    if alg.dim != omega.dim:
+        raise ShapeError("algebra and form dimensions must agree")
+    if not ce_differential(alg, omega.lower).is_zero():
+        raise InconsistencyError("no torsion-free connection preserves a non-closed form")
+    dim = alg.dim
+    nunknowns = dim**3
+    rows: list[dict[int, Fraction]] = []
+    rhs: list[Scalar] = []
+    for i in range(1, dim + 1):
+        for j in range(i + 1, dim + 1):
+            for k in range(1, dim + 1):
+                rows.append(
+                    {
+                        _gamma_unknown(dim, i, j, k): Fraction(1),
+                        _gamma_unknown(dim, j, i, k): Fraction(-1),
+                    }
+                )
+                rhs.append(alg.c[(i, j, k)])
+    for a in range(1, dim + 1):
+        for j in range(1, dim + 1):
+            for k in range(j + 1, dim + 1):
+                row: dict[int, Fraction] = {}
+                for p in range(1, dim + 1):
+                    w = omega.lower[(p, k)].as_fraction()
+                    if w:
+                        col = _gamma_unknown(dim, a, j, p)
+                        row[col] = row.get(col, Fraction(0)) - w
+                    w = omega.lower[(j, p)].as_fraction()
+                    if w:
+                        col = _gamma_unknown(dim, a, k, p)
+                        row[col] = row.get(col, Fraction(0)) - w
+                if row:
+                    rows.append(row)
+                    rhs.append(Scalar.zero())
+    particular, basis = ref_solve_affine_sparse(rows, rhs, nunknowns)
+    part_conn = Connection(Tensor(dim, (DOWN, DOWN, UP), tuple(particular)))
+    basis_conns = tuple(
+        Connection(Tensor(dim, (DOWN, DOWN, UP), tuple(Scalar.rational(c) for c in row)))
+        for row in basis
+    )
+    return AffineSolutionSpace(part_conn, basis_conns)

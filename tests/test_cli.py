@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import pytest
@@ -285,3 +288,37 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["verify", shipped("darboux1.spec")])  # neither --vector nor --all-invariant
     assert exc.value.code == 2
+
+
+def test_one_parser_serves_every_call(monkeypatch, capsys):
+    built = []
+    build_parser = framecalc.cli.build_parser
+
+    def counting_parser():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(framecalc.cli, "_parser", None)
+    monkeypatch.setattr(framecalc.cli, "build_parser", counting_parser)
+    assert main(["moduli", shipped("darboux1.spec")]) == 0
+    assert "dimension: 4" in capsys.readouterr().out
+    assert main(["holonomy", shipped("kodaira_thurston.spec"), "--beta", "0"]) == 0
+    assert "generators: 0 (flat)" in capsys.readouterr().out
+    usage = ["verify", shipped("darboux1.spec")]  # neither --vector nor --all-invariant
+    with pytest.raises(SystemExit) as exc:
+        main(usage)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert len(built) == 1
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(usage)
+    assert capsys.readouterr().err == err
+
+
+def test_import_builds_no_parser():
+    code = "import framecalc.cli as cli; print(cli._parser is None)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "True"

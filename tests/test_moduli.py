@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from framecalc import (
     AffineSolutionSpace,
     abelian_algebra,
     automorphism_space,
+    ce_differential,
     connection_from_entries,
     darboux_flat,
     find_non_symplectic_automorphisms,
@@ -22,9 +24,16 @@ from framecalc import (
     zero_connection,
 )
 from framecalc.connections import preserves_form
-from framecalc.errors import InconsistencyError, ParameterError
+from framecalc.errors import FormError, InconsistencyError, ParameterError
+from framecalc.scalars import Scalar
 from framecalc.tensors import basis_vector
-from helpers import sample_connection
+from helpers import (
+    aff_r_squared,
+    dense_symplectic_model,
+    kt_type_model,
+    ref_symplectic_connection_space,
+    sample_connection,
+)
 
 F = Fraction
 
@@ -78,6 +87,70 @@ def test_non_closed_form_is_inconsistent():
     omega = symplectic_form(4, {(1, 2): 1, (3, 4): 1})  # not closed on this algebra
     with pytest.raises(InconsistencyError):
         symplectic_connection_space(heis, omega)
+
+
+def scaled_brackets(alg, factor):
+    """The algebra with every structure constant multiplied by ``factor``;
+    on a two-step nilpotent algebra both Jacobi and d omega = 0 survive."""
+    entries = {(i, j, k): v * factor for (i, j, k), v in alg.c.nonzero() if i < j}
+    return validate_algebra(structure_constants(alg.dim, entries))
+
+
+def closed_form_models():
+    b = Scalar.parameter("b")
+    kt = kodaira_thurston()
+    alg4, omega4 = dense_symplectic_model(random.Random(31), 4)
+    models = [
+        ("dense2", *dense_symplectic_model(random.Random(29), 2)),
+        ("dense4", alg4, omega4),
+        ("dense6", *dense_symplectic_model(random.Random(37), 6)),
+        ("kt_type8", *kt_type_model(random.Random(41), 4)),
+        ("aff_r_squared", *aff_r_squared()),
+        ("kodaira_thurston", kt.algebra, kt.omega),
+        ("dense4_qb", scaled_brackets(alg4, b + 1), omega4),
+    ]
+    return [pytest.param(*model, id=model[0]) for model in models]
+
+
+@pytest.mark.parametrize("name, alg, omega", closed_form_models())
+def test_closed_form_equals_reference_elimination(name, alg, omega):
+    space = symplectic_connection_space(alg, omega)
+    expected = ref_symplectic_connection_space(alg, omega)
+    dim = alg.dim
+    assert space.dimension == dim * (dim + 1) * (dim + 2) // 6
+    assert space.particular.gamma == expected.particular.gamma
+    assert [c.gamma for c in space.homogeneous_basis] == [
+        c.gamma for c in expected.homogeneous_basis
+    ]
+    assert torsion(alg, space.particular).is_zero()
+    assert preserves_form(alg, space.particular, omega)
+    if name == "dense4_qb":
+        assert not space.particular.is_rational()
+
+
+def test_closed_form_refuses_non_closed_dense_form():
+    rng = random.Random(43)
+    alg, _ = dense_symplectic_model(rng, 6)
+    omega = None
+    while omega is None or ce_differential(alg, omega.lower).is_zero():
+        entries = {(i, j): rng.randint(-2, 2) for i in range(1, 7) for j in range(i + 1, 7)}
+        try:
+            omega = symplectic_form(6, {p: v for p, v in entries.items() if v})
+        except FormError:
+            omega = None
+    with pytest.raises(InconsistencyError):
+        symplectic_connection_space(alg, omega)
+    with pytest.raises(InconsistencyError):
+        ref_symplectic_connection_space(alg, omega)
+
+
+def test_dense_dim8_space_is_fast():
+    alg, omega = dense_symplectic_model(random.Random(47), 8)
+    start = time.perf_counter()
+    space = symplectic_connection_space(alg, omega)
+    elapsed = time.perf_counter() - start
+    assert space.dimension == 120
+    assert elapsed < 1.0
 
 
 def test_flat_family_examples():

@@ -1,7 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framecalc.errors import ShapeError
 from framecalc.scalars import Scalar
@@ -9,10 +12,13 @@ from framecalc.tensors import (
     DOWN,
     UP,
     Tensor,
+    _offset,
+    antisymmetric_from_components,
     antisymmetrize,
     basis_covector,
     basis_vector,
     identity_endomorphism,
+    increasing_tuples,
     is_antisymmetric,
     permutation_sign,
     vector,
@@ -105,6 +111,76 @@ def test_is_antisymmetric_detects_failures():
     assert not is_antisymmetric(bad)
     diag = Tensor.from_entries(4, (DOWN, DOWN), {(3, 3): 1})
     assert not is_antisymmetric(diag)
+
+
+def ref_is_antisymmetric(t: Tensor) -> bool:
+    """The dense check over all dim**k indices, as the package once ran it."""
+    k = t.rank
+    if k <= 1:
+        return True
+    dim = t.dim
+    for idx, value in zip(t.indices(), t.comps):
+        ordered = tuple(sorted(idx))
+        if len(set(idx)) < k:
+            if value:
+                return False
+            continue
+        ref = t.comps[_offset(dim, ordered)]
+        expected = ref if permutation_sign(idx) == 1 else -ref
+        if value != expected:
+            return False
+    return True
+
+
+B = Scalar.parameter("b")
+component_st = st.one_of(
+    st.fractions(min_value=-2, max_value=2, max_denominator=2).map(Scalar.rational),
+    st.tuples(
+        st.fractions(min_value=-2, max_value=2, max_denominator=2),
+        st.integers(min_value=-2, max_value=2),
+    ).map(lambda p: Scalar.rational(p[0]) + B * p[1]),
+)
+
+
+@st.composite
+def nearly_antisymmetric(draw):
+    """An antisymmetric tensor, possibly with one entry zeroed, negated,
+    moved onto a repeated index or replaced."""
+    dim = draw(st.integers(min_value=1, max_value=5))
+    k = draw(st.integers(min_value=2, max_value=min(4, dim + 1)))
+    tuples = list(increasing_tuples(dim, k))
+    parts = {}
+    if tuples:
+        chosen = draw(st.lists(st.sampled_from(tuples), max_size=4, unique=True))
+        parts = {inc: draw(component_st) for inc in chosen}
+    comps = list(antisymmetric_from_components(dim, k, (DOWN,) * k, parts).comps)
+    every = list(itertools.product(range(1, dim + 1), repeat=k))
+    mutation = draw(st.sampled_from(["none", "zero", "negate", "repeated", "replace"]))
+    nonzero = [idx for idx in every if comps[_offset(dim, idx)]]
+    if mutation in ("zero", "negate") and nonzero:
+        off = _offset(dim, draw(st.sampled_from(nonzero)))
+        comps[off] = Scalar.zero() if mutation == "zero" else -comps[off]
+    elif mutation == "repeated":
+        repeated = [idx for idx in every if len(set(idx)) < k]
+        comps[_offset(dim, draw(st.sampled_from(repeated)))] = draw(component_st)
+    elif mutation == "replace":
+        comps[_offset(dim, draw(st.sampled_from(every)))] = draw(component_st)
+    return Tensor(dim, (DOWN,) * k, tuple(comps))
+
+
+@given(nearly_antisymmetric())
+@settings(max_examples=150, deadline=None)
+def test_is_antisymmetric_matches_dense_reference(t):
+    assert is_antisymmetric(t) == ref_is_antisymmetric(t)
+
+
+def test_is_antisymmetric_counts_a_missing_permutation():
+    t = antisymmetric_from_components(3, 3, (DOWN,) * 3, {(1, 2, 3): Scalar.one()})
+    comps = list(t.comps)
+    comps[_offset(3, (3, 2, 1))] = Scalar.zero()
+    broken = Tensor(3, (DOWN,) * 3, tuple(comps))
+    assert is_antisymmetric(t) and ref_is_antisymmetric(t)
+    assert not is_antisymmetric(broken) and not ref_is_antisymmetric(broken)
 
 
 def test_substitute_maps_components():
